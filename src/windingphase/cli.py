@@ -26,16 +26,17 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_digest, load_config
-from .correlation import PairConfig, chsh, correlation, residual_curve
+from .correlation import PairConfig, chsh, correlations, residual_curve
 from .errors import ConfigError, DimensionError, DomainError, ResourceGuardError
 from .eventlog import write_event_log
 from .sequence import (
     PhaseSequence,
     event_count,
     find_almost_periods,
-    fourier_bohr_coefficient,
+    fourier_spectrum,
     randomness_battery,
 )
+from .sequence import fourier_bohr_coefficient  # noqa: F401 -- perfbench/spans.py wraps this binding
 from .topology import CycleAssignment, SurfaceSpec, WindingChain
 
 SUBCOMMANDS = ("generate", "analyze", "correlate", "residual", "chsh", "report")
@@ -203,12 +204,10 @@ def _run_analyze(config, out_dir) -> List[FileRecord]:
     records.append(FileRecord("randomness.csv", rows, _sha256_file(path)))
 
     lambdas = np.linspace(0.0, config.spectrum_lambda_max, config.spectrum_lambda_count)
-    spectrum_rows = []
-    for lam in lambdas:
-        coeff = fourier_bohr_coefficient(seq, float(lam), config.horizon)
-        spectrum_rows.append(
-            (float(lam), coeff.real, coeff.imag, abs(coeff), math.atan2(coeff.imag, coeff.real))
-        )
+    spectrum_rows = [
+        (float(lam), c.real, c.imag, abs(c), math.atan2(c.imag, c.real))
+        for lam, c in zip(lambdas, fourier_spectrum(seq, lambdas, config.horizon).tolist())
+    ]
     path = os.path.join(out_dir, "spectrum.csv")
     rows = _write_table(path, ["lambda", "re", "im", "magnitude", "angle"], spectrum_rows)
     records.append(FileRecord("spectrum.csv", rows, _sha256_file(path)))
@@ -232,11 +231,8 @@ def _run_correlate(config, out_dir) -> List[FileRecord]:
     pair = _guard_pair(config, t)
     n = config.angle_grid_size
     thetas = [2.0 * math.pi * k / n for k in range(n)]
-    rows_out = []
-    for ta in thetas:
-        for tb in thetas:
-            est = correlation(pair, ta, tb, t)
-            rows_out.append((ta, tb, t, est.value, est.residual, est.segment_count))
+    grid = correlations(pair, [(ta, tb) for ta in thetas for tb in thetas], t)
+    rows_out = [(e.theta_a, e.theta_b, t, e.value, e.residual, e.segment_count) for e in grid]
     path = os.path.join(out_dir, "correlate.csv")
     rows = _write_table(
         path, ["theta_a", "theta_b", "t", "E", "residual", "segments"], rows_out

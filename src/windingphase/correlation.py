@@ -1,38 +1,37 @@
 """Two-particle exchanged-sequence correlation experiment and CHSH statistic.
 
-A pair holds two phase sequences on the same surface whose winding content
-has been exchanged between the particles.  Only the relative phase
-``gamma_a(tau) = Phi_b(tau) - Phi_a(tau)`` is observable; a detector at angle
-theta responds with cos(theta + gamma).  The temporal correlation of the two
-detector responses is integrated exactly over the merged constant segments of
-both sequences and decomposes as
+A pair holds two phase sequences on one surface and cycle assignment whose
+winding content has been exchanged between the particles.  Only the relative
+phase ``gamma_a(tau) = Phi_b(tau) - Phi_a(tau)`` is observable; a detector at
+angle theta responds with cos(theta + gamma).  The shared assignment makes
+gamma the phase sequence of the difference chain ``chain_b - chain_a``, and
+the temporal correlation of the two detector responses is
 
-    E(theta_a, theta_b; t) = cos(theta_a + theta_b) + residual(t),
+    E(theta_a, theta_b; t) = cos(theta_a + theta_b) + Re(e^{i(theta_a - theta_b)} M2(t)),
 
-where the residual is the time average of cos(theta_a - theta_b + 2 gamma_a)
-and vanishes as t grows whenever 2*gamma equidistributes mod 2*pi.
+where M2(t) = (1/t) * integral_0^t e^{2 i gamma} is summed exactly over the
+constant segments of gamma.  The second term, the residual, vanishes as t
+grows whenever 2*gamma equidistributes mod 2*pi.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .sequence import PhaseSequence, event_arrays, phase_at
+from .sequence import PhaseSequence, _segments, bohr_mean, event_count, phase_at
+from .sequence import event_arrays  # noqa: F401 -- perfbench/spans.py wraps this binding
 from .topology import wrap_angle
-
-# The two integration routes (direct product vs decomposition) must agree to
-# this tolerance on every call; a violation means a numerical defect.
-_DECOMPOSITION_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
 class PairConfig:
-    """Two exchanged phase sequences sharing one surface and horizon."""
+    """Two exchanged phase sequences sharing one surface, assignment and horizon."""
 
     sequence_a: PhaseSequence
     sequence_b: PhaseSequence
@@ -45,10 +44,18 @@ class PairConfig:
                 f"pair sequences have different horizons: "
                 f"{self.sequence_a.horizon} vs {self.sequence_b.horizon}"
             )
+        if self.sequence_a.assignment != self.sequence_b.assignment:
+            raise DomainError("pair sequences have different cycle assignments")
 
     @property
     def horizon(self) -> float:
         return self.sequence_a.horizon
+
+    @property
+    def difference(self) -> PhaseSequence:
+        """The relative phase gamma_a as the sequence of chain_b - chain_a."""
+        a, b = self.sequence_a, self.sequence_b
+        return PhaseSequence(a.surface, b.chain + (-a.chain), a.assignment, a.horizon)
 
     def swapped(self) -> "PairConfig":
         """The same pair seen from the other particle (sequences exchanged)."""
@@ -69,29 +76,13 @@ def measure(theta: float, gamma: float) -> float:
     return math.cos(theta + gamma)
 
 
-def _merged_segments(pair: PairConfig, t: float):
-    """Constant-gamma segments of [0, t] from both sequences' merged events.
-
-    Returns (bounds, gamma): ``gamma[k]`` is the unwrapped relative phase on
-    [bounds[k], bounds[k+1]).
-    """
-    ta, _, ia = event_arrays(pair.sequence_a, 0.0, t)
-    tb, _, ib = event_arrays(pair.sequence_b, 0.0, t)
-    times = np.concatenate((ta, tb))
-    jumps = np.concatenate((-ia, ib))
-    order = np.argsort(times, kind="stable")
-    bounds = np.concatenate(([0.0], times[order], [t]))
-    gamma = np.concatenate(([0.0], np.cumsum(jumps[order])))
-    return bounds, gamma
-
-
 @dataclass(frozen=True)
 class CorrelationEstimate:
     """One exact evaluation of the temporal correlation at a finite horizon.
 
-    ``value`` = cos(theta_a + theta_b) + ``residual`` holds identically; the
-    two terms are integrated by independent routes and cross-checked, never
-    fitted.
+    ``value`` = cos(theta_a + theta_b) + ``residual`` by construction, with
+    the residual derived from M2, never fitted; ``segment_count`` is the
+    number of events of both sequences in (0, t] plus one.
     """
 
     theta_a: float
@@ -102,42 +93,38 @@ class CorrelationEstimate:
     segment_count: int
 
 
+def _doubled(seq: PhaseSequence) -> PhaseSequence:
+    """The sequence whose phase is twice seq's: its chain added to itself."""
+    return replace(seq, chain=seq.chain + seq.chain)
+
+
+def correlations(pair: PairConfig, settings, t: float) -> Tuple[CorrelationEstimate, ...]:
+    """One correlation per (theta_a, theta_b) in ``settings``, all from one M2(t)."""
+    settings = [(float(ta), float(tb)) for ta, tb in settings]
+    if not all(math.isfinite(ta) and math.isfinite(tb) for ta, tb in settings):
+        raise DomainError("angles must be finite")
+    m2 = bohr_mean(_doubled(pair.difference), t)
+    t = float(t)
+    segments = event_count(pair.sequence_a, 0.0, t) + event_count(pair.sequence_b, 0.0, t) + 1
+    out = []
+    for ta, tb in settings:
+        residual = (cmath.exp(1j * (ta - tb)) * m2).real
+        out.append(CorrelationEstimate(ta, tb, t, math.cos(ta + tb) + residual, residual, segments))
+    return tuple(out)
+
+
 def correlation(
     pair: PairConfig, theta_a: float, theta_b: float, t: float
 ) -> CorrelationEstimate:
     """Temporal correlation E(theta_a, theta_b; t) of the two detector streams.
 
-    E = (2/t) * integral_0^t cos(theta_a + gamma(tau)) cos(theta_b - gamma(tau)) d tau.
+    E = (2/t) * integral_0^t cos(theta_a + gamma(tau)) cos(theta_b - gamma(tau)) d tau
+      = cos(theta_a + theta_b) + Re(e^{i (theta_a - theta_b)} * M2(t)).
 
-    The integrand is constant between merged event times of both sequences,
-    so the integral is an exact segment sum with no time step.  The residual
-    E - cos(theta_a + theta_b) is integrated by its own closed form and the
-    decomposition identity is asserted at 1e-12 as an internal guard.
+    M2 is summed exactly over the constant segments of the difference
+    sequence, so there is no time step.
     """
-    theta_a, theta_b, t = float(theta_a), float(theta_b), float(t)
-    if not math.isfinite(t) or t <= 0.0 or t > pair.horizon:
-        raise DomainError(f"t must lie in (0, horizon {pair.horizon}], got {t!r}")
-    if not (math.isfinite(theta_a) and math.isfinite(theta_b)):
-        raise DomainError("angles must be finite")
-    bounds, gamma = _merged_segments(pair, t)
-    widths = np.diff(bounds)
-    value = float(
-        np.sum(widths * np.cos(theta_a + gamma) * np.cos(theta_b - gamma)) * 2.0 / t
-    )
-    residual = float(np.sum(widths * np.cos(theta_a - theta_b + 2.0 * gamma)) / t)
-    drift = value - math.cos(theta_a + theta_b) - residual
-    if abs(drift) > _DECOMPOSITION_GUARD:
-        raise ArithmeticError(
-            f"correlation decomposition drifted by {drift:.3e} (> {_DECOMPOSITION_GUARD})"
-        )
-    return CorrelationEstimate(
-        theta_a=theta_a,
-        theta_b=theta_b,
-        t=t,
-        value=value,
-        residual=residual,
-        segment_count=int(widths.size),
-    )
+    return correlations(pair, [(theta_a, theta_b)], t)[0]
 
 
 def residual_curve(
@@ -155,15 +142,15 @@ def residual_curve(
         raise DomainError(f"horizons must lie in (0, horizon {pair.horizon}]")
     if any(b < a for a, b in zip(hs, hs[1:])):
         raise DomainError("horizons must be sorted ascending")
-    theta_a, theta_b = float(theta_a), float(theta_b)
-    bounds, gamma = _merged_segments(pair, hs[-1])
-    c = np.cos(theta_a - theta_b + 2.0 * gamma)
-    prefix = np.concatenate(([0.0], np.cumsum(np.diff(bounds) * c)))
+    rotation = cmath.exp(1j * (float(theta_a) - float(theta_b)))
+    bounds, two_gamma = _segments(_doubled(pair.difference), hs[-1])
+    factor = np.exp(1j * two_gamma)
+    prefix = np.concatenate(([0.0], np.cumsum(np.diff(bounds) * factor)))
     out = []
     for t in hs:
-        k = min(int(np.searchsorted(bounds, t, side="right")) - 1, c.size - 1)
-        integral = prefix[k] + (t - bounds[k]) * c[k]
-        out.append((t, float(integral / t)))
+        k = min(int(np.searchsorted(bounds, t, side="right")) - 1, factor.size - 1)
+        integral = complex(prefix[k] + (t - bounds[k]) * factor[k])
+        out.append((t, (rotation * integral).real / t))
     return out
 
 
@@ -188,11 +175,8 @@ class ChshResult:
 def chsh(
     pair: PairConfig, a1: float, a2: float, b1: float, b2: float, t: float
 ) -> ChshResult:
-    """Run the four-setting CHSH combination at one horizon."""
-    e11 = correlation(pair, a1, b1, t)
-    e12 = correlation(pair, a1, b2, t)
-    e21 = correlation(pair, a2, b1, t)
-    e22 = correlation(pair, a2, b2, t)
+    """Run the four-setting CHSH combination at one horizon, from one M2."""
+    e11, e12, e21, e22 = correlations(pair, [(a1, b1), (a1, b2), (a2, b1), (a2, b2)], t)
     return ChshResult(
         a1=float(a1),
         a2=float(a2),

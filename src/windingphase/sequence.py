@@ -119,22 +119,17 @@ def event_arrays(seq: PhaseSequence, t0: float, t1: float):
     """
     t0, t1 = _check_window(seq, t0, t1)
     idx, periods, increments = seq._active_arrays()
-    if idx.size == 0:
-        empty = np.empty(0)
-        return empty, np.empty(0, dtype=np.int64), np.empty(0)
     n0 = _completed_windings(t0, periods)
     n1 = _completed_windings(t1, periods)
-    times, cycles, incs = [], [], []
+    counts = n1 - n0
+    ends = np.cumsum(counts)
+    times = np.empty(int(counts.sum()))
     for k in range(idx.size):
-        ns = np.arange(n0[k] + 1, n1[k] + 1, dtype=float)
-        times.append(ns * periods[k])
-        cycles.append(np.full(ns.size, idx[k], dtype=np.int64))
-        incs.append(np.full(ns.size, increments[k]))
-    times = np.concatenate(times)
-    cycles = np.concatenate(cycles)
-    incs = np.concatenate(incs)
-    order = np.lexsort((cycles, times))
-    return times[order], cycles[order], incs[order]
+        block = times[ends[k] - counts[k] : ends[k]]
+        np.multiply(np.arange(n0[k] + 1, n1[k] + 1, dtype=float), periods[k], out=block)
+    # stable: blocks are in cycle order, so simultaneous events stay in it
+    order = np.argsort(times, kind="stable")
+    return times[order], np.repeat(idx, counts)[order], np.repeat(increments, counts)[order]
 
 
 def events_in(seq: PhaseSequence, t0: float, t1: float) -> List[PhaseEvent]:
@@ -207,24 +202,34 @@ def bohr_mean(seq: PhaseSequence, t: float) -> complex:
     return complex(np.sum(np.exp(1j * phases) * lengths) / t)
 
 
-def fourier_bohr_coefficient(seq: PhaseSequence, lam: float, t: float) -> complex:
-    """Fourier coefficient (1/t) * integral_0^t e^{i Phi(tau)} e^{-i lam tau} d tau.
+def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
+    """Fourier coefficients (1/t) * integral_0^t e^{i Phi(tau)} e^{-i lam tau} d tau.
 
-    The oscillatory factor is integrated in closed form on each constant
-    segment via the numerically stable kernel
+    One coefficient per entry of ``lams``, all from one segment table.  The
+    oscillatory factor is integrated in closed form on each constant segment
+    via the numerically stable kernel
     ``(b - a) * sinc(lam (b-a) / 2) * e^{-i lam (a+b)/2}``, which reduces to
     the plain segment length as lam -> 0 (so lam = 0 reproduces bohr_mean
     exactly).
     """
     t = _check_time(seq, t)
-    lam = float(lam)
-    if not math.isfinite(lam):
-        raise DomainError(f"lam must be finite, got {lam!r}")
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if not np.all(np.isfinite(lams)):
+        raise DomainError("every lam must be finite")
     bounds, phases = _segments(seq, t)
-    a, b = bounds[:-1], bounds[1:]
-    width = b - a
-    kernel = width * np.sinc(lam * width / (2.0 * np.pi)) * np.exp(-0.5j * lam * (a + b))
-    return complex(np.sum(np.exp(1j * phases) * kernel) / t)
+    width = np.diff(bounds)
+    centers = bounds[:-1] + bounds[1:]
+    factors = np.exp(1j * phases)
+    out = np.empty(lams.size, dtype=complex)
+    for k, lam in enumerate(lams):
+        kernel = width * np.sinc(lam * width / (2.0 * np.pi)) * np.exp(-0.5j * lam * centers)
+        out[k] = np.sum(factors * kernel) / t
+    return out
+
+
+def fourier_bohr_coefficient(seq: PhaseSequence, lam: float, t: float) -> complex:
+    """One Fourier coefficient; see fourier_spectrum."""
+    return complex(fourier_spectrum(seq, [lam], t)[0])
 
 
 @dataclass(frozen=True)
@@ -293,10 +298,14 @@ def find_almost_periods(
     candidates = np.unique(np.concatenate(shifts)) if shifts else np.empty(0)
     candidates = candidates[(candidates > 0.0) & (candidates <= search_bound)]
 
-    base_times = event_arrays(seq, 0.0, window_end)[0] if window_end > 0 else np.empty(0)
+    # e^{i Phi(tau)} for every tau, indexed by the number of event times <= tau
+    times = np.unique(event_arrays(seq, 0.0, seq.horizon)[0])
+    factors = np.exp(1j * phase_at_many(seq, np.concatenate(([0.0], times))))
+    base_times = times[: np.searchsorted(times, window_end, side="right")]
     passing = []
     for shift in candidates:
-        shifted = event_arrays(seq, shift, shift + window_end)[0] - shift
+        lo, hi = np.searchsorted(times, (shift, shift + window_end), side="right")
+        shifted = times[lo:hi] - shift
         cuts = np.unique(np.concatenate(([0.0], base_times, shifted, [window_end])))
         cuts = cuts[(cuts >= 0.0) & (cuts <= window_end)]
         widths = np.diff(cuts)
@@ -304,8 +313,8 @@ def find_almost_periods(
         mids = mids[widths > _SLIVER]
         if mids.size == 0:
             continue
-        here = np.exp(1j * phase_at_many(seq, mids))
-        there = np.exp(1j * phase_at_many(seq, np.minimum(mids + shift, seq.horizon)))
+        here = factors[np.searchsorted(times, mids, side="right")]
+        there = factors[np.searchsorted(times, np.minimum(mids + shift, seq.horizon), side="right")]
         discrepancy = float(np.max(np.abs(there - here)))
         if discrepancy <= epsilon:
             passing.append(AlmostPeriodCandidate(float(shift), discrepancy))

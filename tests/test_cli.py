@@ -145,6 +145,20 @@ class TestSubcommands:
         row = read_rows(out / "chsh.csv")[0]
         assert abs(float(row["s"]) - 2.0 * math.sqrt(2.0)) <= 0.05
 
+    def test_chsh_demo_config_at_horizon_1e5(self, tmp_path):
+        # 1.7e5 segments: far more than a fixed absolute rounding guard tolerates
+        demo = os.path.join(os.path.dirname(__file__), "..", "demos", "configs", "canonical.json")
+        with open(demo, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data.update(horizon=1e5, correlation_time=1e5)
+        cfg_path = tmp_path / "canonical_1e5.json"
+        cfg_path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert main(["chsh", "--config", str(cfg_path), "--out", str(out)]) == 0
+        s = float(read_rows(out / "chsh.csv")[0]["s"])
+        assert s > 2.0
+        assert abs(s - 2.0 * math.sqrt(2.0)) <= 0.05
+
     def test_residual_curve_table(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)
         out = tmp_path / "out"

@@ -70,6 +70,21 @@ class TestPairConfig:
                 PhaseSequence(s, WindingChain(s, (0, 1)), a, 20.0),
             )
 
+    def test_requires_shared_assignment(self):
+        s = SurfaceSpec(1)
+        with pytest.raises(DomainError):
+            PairConfig(
+                PhaseSequence(s, WindingChain(s, (1, 0)), CycleAssignment(s, (0.1, 0.2), (1.0, 2.0)), 10.0),
+                PhaseSequence(s, WindingChain(s, (0, 1)), CycleAssignment(s, (0.1, 0.3), (1.0, 2.0)), 10.0),
+            )
+
+    def test_difference_sequence_carries_relative_phase(self, canonical_pair):
+        diff = canonical_pair.difference
+        assert diff.chain.coefficients == (-1, 1)
+        for tau in (0.0, 0.7, 13.2, 1999.9):
+            gap = relative_phase(canonical_pair, tau) - phase_at(diff, tau)
+            assert circular_distance(gap, 0.0) <= 1e-12
+
     def test_swapped_exchanges_sequences(self, canonical_pair):
         sw = canonical_pair.swapped()
         assert sw.sequence_a == canonical_pair.sequence_b

@@ -14,6 +14,7 @@ from windingphase import (
     events_in,
     find_almost_periods,
     fourier_bohr_coefficient,
+    fourier_spectrum,
     phase_at,
     phase_at_many,
     randomness_battery,
@@ -248,6 +249,12 @@ class TestFourierBohrCoefficient:
         off_peak = abs(fourier_bohr_coefficient(seq, 1.0, 128.0))
         assert on_peak > 0.9
         assert off_peak < 0.1
+
+    def test_spectrum_rejects_non_finite_lambda(self):
+        seq = make_seq(0, (), (), (), 100.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                fourier_spectrum(seq, [0.0, bad], 10.0)
 
 
 class TestFindAlmostPeriods:
