@@ -123,13 +123,16 @@ def event_arrays(seq: PhaseSequence, t0: float, t1: float):
     n1 = _completed_windings(t1, periods)
     counts = n1 - n0
     ends = np.cumsum(counts)
-    times = np.empty(int(counts.sum()))
+    times = np.arange(int(counts.sum()), dtype=float)
     for k in range(idx.size):
         block = times[ends[k] - counts[k] : ends[k]]
-        np.multiply(np.arange(n0[k] + 1, n1[k] + 1, dtype=float), periods[k], out=block)
+        block += n0[k] + 1 - (ends[k] - counts[k])
+        block *= periods[k]
+    cycles = np.repeat(idx, counts)
+    incs = np.repeat(increments, counts)
     # stable: blocks are in cycle order, so simultaneous events stay in it
     order = np.argsort(times, kind="stable")
-    return times[order], np.repeat(idx, counts)[order], np.repeat(increments, counts)[order]
+    return times[order], cycles[order], incs[order]
 
 
 def events_in(seq: PhaseSequence, t0: float, t1: float) -> List[PhaseEvent]:
