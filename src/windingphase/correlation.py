@@ -24,7 +24,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .sequence import PhaseSequence, _segments, bohr_mean, event_count, phase_at
+from .sequence import PhaseSequence, _windows, bohr_mean, event_count, phase_at
 from .sequence import event_arrays  # noqa: F401 -- perfbench/spans.py wraps this binding
 from .topology import wrap_angle
 
@@ -130,7 +130,7 @@ def correlation(
 def residual_curve(
     pair: PairConfig, theta_a: float, theta_b: float, horizons: Sequence[float]
 ) -> List[Tuple[float, float]]:
-    """Residual of the correlation at each horizon, in one prefix-sum pass.
+    """Residual of the correlation at each horizon, in one pass over M2's windows.
 
     ``horizons`` must be sorted ascending, positive, and within the pair's
     horizon.  Returns (t, residual) tuples.
@@ -143,14 +143,13 @@ def residual_curve(
     if any(b < a for a, b in zip(hs, hs[1:])):
         raise DomainError("horizons must be sorted ascending")
     rotation = cmath.exp(1j * (float(theta_a) - float(theta_b)))
-    bounds, two_gamma = _segments(_doubled(pair.difference), hs[-1])
-    factor = np.exp(1j * two_gamma)
-    prefix = np.concatenate(([0.0], np.cumsum(np.diff(bounds) * factor)))
+    integral = 0j
     out = []
-    for t in hs:
-        k = min(int(np.searchsorted(bounds, t, side="right")) - 1, factor.size - 1)
-        integral = complex(prefix[k] + (t - bounds[k]) * factor[k])
-        out.append((t, (rotation * integral).real / t))
+    for bounds, factors in _windows(_doubled(pair.difference), hs[-1], hs):
+        integral += complex(np.sum(factors * np.diff(bounds)))
+        while len(out) < len(hs) and hs[len(out)] == bounds[-1]:
+            t = hs[len(out)]
+            out.append((t, (rotation * integral).real / t))
     return out
 
 

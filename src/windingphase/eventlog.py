@@ -22,8 +22,7 @@ def write_event_log(path, seq: PhaseSequence, t0: float = 0.0, t1: float = None)
     times, cycles, incs = event_arrays(seq, t0, t1)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(HEADER + "\n")
-        for t, c, v in zip(times, cycles, incs):
-            fh.write(f"{t:.17g},{c},{v:.17g}\n")
+        fh.writelines(map("{:.17g},{},{:.17g}\n".format, times.tolist(), cycles.tolist(), incs.tolist()))
     return int(times.size)
 
 

@@ -21,14 +21,18 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .topology import TWO_PI, CycleAssignment, SurfaceSpec, WindingChain, wrap_angle
+from .topology import TWO_PI, CycleAssignment, SurfaceSpec, WindingChain, _dot_mod_2pi, wrap_angle
 
 # Segments thinner than this are treated as float artifacts of shifted event
 # times (see find_almost_periods) and skipped when probing suprema.
 _SLIVER = 1e-9
 
+# Events per evaluation window: every segment reduction sums over windows of
+# about this many events, so its memory does not grow with the horizon.
+_WINDOW_EVENTS = 1 << 14
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class PhaseEvent:
     """One phase spike: at ``time`` cycle ``cycle_index`` adds ``increment``."""
 
@@ -172,17 +176,28 @@ def phase_at_many(seq: PhaseSequence, taus) -> np.ndarray:
     return phases
 
 
-def _segments(seq: PhaseSequence, t: float):
-    """Partition [0, t] into constant-phase segments.
+def _windows(seq: PhaseSequence, t: float, edges=()):
+    """Yield (bounds, factors) for consecutive windows tiling [0, t].
 
-    Returns (bounds, phases): ``bounds`` has K+1 entries starting at 0 and
-    ending at t; ``phases[k]`` is the accumulated (unwrapped) phase on
-    [bounds[k], bounds[k+1]).
+    Windows hold about _WINDOW_EVENTS events each and also end at every time
+    in ``edges``.  ``bounds`` starts at the window's start, lists its event
+    times and ends at its end; ``factors[k]`` is e^{i Phi} on
+    [bounds[k], bounds[k+1]).  Each window starts from the phase of its
+    integer winding counts reduced exactly mod 2*pi, so rounding does not
+    grow with t.
     """
-    times, _, incs = event_arrays(seq, 0.0, t)
-    bounds = np.concatenate(([0.0], times, [t]))
-    phases = np.concatenate(([0.0], np.cumsum(incs)))
-    return bounds, phases
+    idx, periods, _ = seq._active_arrays()
+    coefficients = [int(seq.chain.coefficients[i]) for i in idx]
+    betas = [seq.assignment.betas[i] for i in idx]
+    n = max(1, math.ceil(t * float(np.sum(1.0 / periods)) / _WINDOW_EVENTS))
+    cuts = np.unique(np.concatenate((np.linspace(0.0, t, n + 1), edges))).tolist()
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        times, _, incs = event_arrays(seq, a, b)
+        counts = _completed_windings(a, periods).tolist()
+        start = _dot_mod_2pi([k * m for k, m in zip(counts, coefficients)], betas)
+        bounds = np.concatenate(([a], times, [b]))
+        phases = np.concatenate(([start], start + np.cumsum(incs)))
+        yield bounds, np.exp(1j * phases)
 
 
 def _check_time(seq: PhaseSequence, t: float) -> float:
@@ -196,38 +211,40 @@ def bohr_mean(seq: PhaseSequence, t: float) -> complex:
     """Time average (1/t) * integral_0^t e^{i Phi(tau)} d tau.
 
     Computed exactly as a sum over the constant segments between events, so
-    there is no sampling step to tune.  The magnitude is always <= 1 and
-    equals 1 only for a phase constant on [0, t].
+    there is no sampling step to tune.  The segments are summed window by
+    window (see _windows), so memory stays bounded and accuracy does not
+    degrade as t grows.  The magnitude is always <= 1 and equals 1 only for a
+    phase constant on [0, t].
     """
     t = _check_time(seq, t)
-    bounds, phases = _segments(seq, t)
-    lengths = np.diff(bounds)
-    return complex(np.sum(np.exp(1j * phases) * lengths) / t)
+    total = 0j
+    for bounds, factors in _windows(seq, t):
+        total += np.sum(factors * np.diff(bounds))
+    return complex(total / t)
 
 
 def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
     """Fourier coefficients (1/t) * integral_0^t e^{i Phi(tau)} e^{-i lam tau} d tau.
 
-    One coefficient per entry of ``lams``, all from one segment table.  The
-    oscillatory factor is integrated in closed form on each constant segment
-    via the numerically stable kernel
+    One coefficient per entry of ``lams``, all from one pass over the same
+    windows as bohr_mean.  The oscillatory factor is integrated in closed
+    form on each constant segment via the numerically stable kernel
     ``(b - a) * sinc(lam (b-a) / 2) * e^{-i lam (a+b)/2}``, which reduces to
-    the plain segment length as lam -> 0 (so lam = 0 reproduces bohr_mean
-    exactly).
+    the plain segment length at lam = 0; windows are accumulated in the same
+    order as in bohr_mean, so lam = 0 reproduces bohr_mean exactly.
     """
     t = _check_time(seq, t)
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     if not np.all(np.isfinite(lams)):
         raise DomainError("every lam must be finite")
-    bounds, phases = _segments(seq, t)
-    width = np.diff(bounds)
-    centers = bounds[:-1] + bounds[1:]
-    factors = np.exp(1j * phases)
-    out = np.empty(lams.size, dtype=complex)
-    for k, lam in enumerate(lams):
-        kernel = width * np.sinc(lam * width / (2.0 * np.pi)) * np.exp(-0.5j * lam * centers)
-        out[k] = np.sum(factors * kernel) / t
-    return out
+    out = np.zeros(lams.size, dtype=complex)
+    for bounds, factors in _windows(seq, t):
+        width = np.diff(bounds)
+        centers = bounds[:-1] + bounds[1:]
+        for k, lam in enumerate(lams):
+            kernel = width * np.sinc(lam * width / (2.0 * np.pi)) * np.exp(-0.5j * lam * centers)
+            out[k] += np.sum(factors * kernel)
+    return out / t
 
 
 def fourier_bohr_coefficient(seq: PhaseSequence, lam: float, t: float) -> complex:

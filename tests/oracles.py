@@ -5,7 +5,9 @@ package now computes from one segment table per sequence:
 
 - ``almost_periods_per_shift`` regenerates the shifted events and calls
   ``phase_at_many`` on every probe of every candidate shift;
-- ``fourier_coefficient_scalar`` rebuilds the segment table for each lambda;
+- ``bohr_mean_whole`` and ``fourier_coefficient_scalar`` sum one table over
+  all of [0, t] with a running phase that grows with t (the spectrum oracle
+  rebuilds that table for each lambda);
 - ``merged_correlation`` integrates the detector product over the merged
   events of both sequences of a pair, not over the difference chain.
 """
@@ -18,10 +20,22 @@ from windingphase.sequence import (
     _SLIVER,
     AlmostPeriodCandidate,
     AlmostPeriodReport,
-    _segments,
     event_arrays,
     phase_at_many,
 )
+
+
+def _segments(seq, t):
+    """Partition [0, t] into constant-phase segments.
+
+    Returns (bounds, phases): ``bounds`` has K+1 entries starting at 0 and
+    ending at t; ``phases[k]`` is the accumulated (unwrapped) phase on
+    [bounds[k], bounds[k+1]).
+    """
+    times, _, incs = event_arrays(seq, 0.0, t)
+    bounds = np.concatenate(([0.0], times, [t]))
+    phases = np.concatenate(([0.0], np.cumsum(incs)))
+    return bounds, phases
 
 
 def almost_periods_per_shift(seq, epsilon, search_bound, sample_step):
@@ -58,6 +72,12 @@ def almost_periods_per_shift(seq, epsilon, search_bound, sample_step):
         sample_step=sample_step,
         scanned=int(candidates.size),
     )
+
+
+def bohr_mean_whole(seq, t):
+    """The Bohr mean from one segment table over all of [0, t]."""
+    bounds, phases = _segments(seq, float(t))
+    return complex(np.sum(np.exp(1j * phases) * np.diff(bounds)) / t)
 
 
 def fourier_coefficient_scalar(seq, lam, t):

@@ -240,6 +240,11 @@ class TestResidualCurve:
             est = correlation(canonical_pair, ta, tb, t)
             assert abs(res - est.residual) <= 1e-12
 
+    def test_repeated_horizons_give_equal_rows(self, canonical_pair):
+        curve = residual_curve(canonical_pair, 0.0, 0.0, [100.0, 100.0, 400.0])
+        assert len(curve) == 3
+        assert curve[0] == curve[1]
+
     def test_horizon_validation(self, canonical_pair):
         with pytest.raises(DomainError):
             residual_curve(canonical_pair, 0.0, 0.0, [100.0, 50.0])

@@ -1,12 +1,19 @@
-"""Properties of the one-table reductions against the slow routes in oracles.py."""
+"""Properties of the windowed and one-table reductions against the slow routes in oracles.py."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import almost_periods_per_shift, fourier_coefficient_scalar, merged_correlation
+from oracles import (
+    _segments,
+    almost_periods_per_shift,
+    bohr_mean_whole,
+    fourier_coefficient_scalar,
+    merged_correlation,
+)
 from windingphase import (
     CycleAssignment,
     DomainError,
@@ -14,12 +21,15 @@ from windingphase import (
     PhaseSequence,
     SurfaceSpec,
     WindingChain,
+    bohr_mean,
     chsh,
     correlation,
+    event_count,
     find_almost_periods,
     fourier_spectrum,
+    residual_curve,
+    sequence,
 )
-from windingphase.sequence import _segments
 
 TWO_PI = 2.0 * math.pi
 
@@ -117,3 +127,28 @@ def test_chsh_uses_the_same_estimates_as_correlation(pair, angles):
     result = chsh(pair, a1, a2, b1, b2, pair.horizon)
     singles = [correlation(pair, ta, tb, pair.horizon) for ta, tb in ((a1, b1), (a1, b2), (a2, b1), (a2, b2))]
     assert list(result.estimates) == singles
+
+
+@PROPERTY
+@given(data=st.data(), pair=pairs(), window_events=st.integers(1, 64))
+def test_window_split_matches_whole_table_oracles(data, pair, window_events):
+    seq = data.draw(st.sampled_from([pair.sequence_a, pair.sequence_b, pair.difference]))
+    t = data.draw(st.floats(0.5, pair.horizon))
+    lams = [0.0] + data.draw(st.lists(st.floats(-20.0, 20.0), max_size=4))
+    horizons = sorted(data.draw(st.lists(st.floats(0.5, pair.horizon), min_size=1, max_size=4)))
+    theta_a, theta_b = data.draw(st.floats(0.0, TWO_PI)), data.draw(st.floats(0.0, TWO_PI))
+    # small windows make every input span many of them
+    with mock.patch.object(sequence, "_WINDOW_EVENTS", window_events):
+        mean = bohr_mean(seq, t)
+        spectrum = fourier_spectrum(seq, lams, t)
+        curve = residual_curve(pair, theta_a, theta_b, horizons)
+
+    tol = 1e-15 * (event_count(seq, 0.0, t) + 1) * max(1.0, float(np.max(np.abs(_segments(seq, t)[1]))))
+    assert abs(mean - bohr_mean_whole(seq, t)) <= tol
+    assert spectrum[0] == mean
+    for lam, got in zip(lams, spectrum):
+        assert abs(got - fourier_coefficient_scalar(seq, lam, t)) <= tol
+    assert [h for h, _ in curve] == horizons
+    for h, residual in curve:
+        _, expected, segments = merged_correlation(pair, theta_a, theta_b, h)
+        assert abs(residual - expected) <= 1e-15 * segments * max(1.0, _largest_running_phase(pair, h))

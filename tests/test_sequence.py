@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from windingphase import (
     score_phase_samples,
     wrap_angle,
 )
+from windingphase.topology import _dot_mod_2pi
 
 TWO_PI = 2.0 * math.pi
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -195,6 +197,15 @@ class TestBohrMean:
         oracle = np.sum(np.exp(1j * np.mod(ks * beta, TWO_PI))) / 10000.0
         assert abs(m - oracle) <= 1e-9
 
+    def test_long_horizon_matches_geometric_series(self):
+        # unit segments with phases k*beta: the mean is a geometric series,
+        # and e^{i beta N} comes from the exact reduction of N*beta mod 2*pi
+        beta = TWO_PI * (PHI % 1.0)
+        n = 1_000_000
+        seq = make_seq(1, (1, 0), (beta, 0.0), (1.0, 3.0 * n), float(n))
+        closed = (1.0 - cmath.exp(1j * _dot_mod_2pi([n], [beta]))) / (n * (1.0 - cmath.exp(1j * beta)))
+        assert abs(bohr_mean(seq, float(n)) - closed) <= 1e-13
+
     def test_magnitude_bounded_by_one(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -228,6 +239,11 @@ class TestFourierBohrCoefficient:
     def test_lambda_zero_reduces_to_bohr_mean(self):
         seq = make_seq(1, (1, -1), (0.9, 1.3), (1.0, math.sqrt(2)), 200.0)
         assert fourier_bohr_coefficient(seq, 0.0, 150.0) == bohr_mean(seq, 150.0)
+
+    def test_lambda_zero_reduces_to_bohr_mean_over_many_windows(self):
+        seq = make_seq(1, (1, -1), (0.9, 1.3), (1.0, math.sqrt(2)), 1e5)
+        for t in (3e4, 77777.7, 1e5):
+            assert fourier_bohr_coefficient(seq, 0.0, t) == bohr_mean(seq, t)
 
     def test_whole_oscillations_integrate_to_zero(self):
         seq = make_seq(0, (), (), (), 100.0)
