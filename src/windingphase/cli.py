@@ -39,7 +39,6 @@ from .sequence import (
 from .sequence import fourier_bohr_coefficient  # noqa: F401 -- perfbench/spans.py wraps this binding
 from .topology import CycleAssignment, SurfaceSpec, WindingChain
 
-SUBCOMMANDS = ("generate", "analyze", "correlate", "residual", "chsh", "report")
 GUARD_MAX_EVENTS = 10**8
 ENV_OUT = "WINDINGPHASE_OUT"
 DEFAULT_OUT = "runs"
@@ -150,14 +149,12 @@ def verify_manifest(manifest: RunManifest, out_dir) -> None:
 
 def _run_generate(config, out_dir) -> List[FileRecord]:
     seq_a, seq_b = build_sequences(config)
-    window = config.event_window or (0.0, config.horizon)
-    _guard_events(
-        event_count(seq_a, window[0], window[1]) + event_count(seq_b, window[0], window[1])
-    )
+    t0, t1 = config.resolved().event_window
+    _guard_events(event_count(seq_a, t0, t1) + event_count(seq_b, t0, t1))
     records = []
     for name, seq in (("events_a.csv", seq_a), ("events_b.csv", seq_b)):
         path = os.path.join(out_dir, name)
-        rows = write_event_log(path, seq, window[0], window[1])
+        rows = write_event_log(path, seq, t0, t1)
         records.append(FileRecord(name, rows, _sha256_file(path)))
     return records
 
@@ -168,10 +165,7 @@ def _run_analyze(config, out_dir) -> List[FileRecord]:
     _guard_events(event_count(seq, 0.0, config.horizon))
     records = []
 
-    search_bound = config.search_bound
-    if search_bound is None:
-        search_bound = config.horizon / 4.0
-    ap = find_almost_periods(seq, config.epsilon, search_bound, config.sample_step)
+    ap = find_almost_periods(seq, config.epsilon, config.resolved().search_bound, config.sample_step)
     path = os.path.join(out_dir, "almost_periods.csv")
     rows = _write_table(
         path,
@@ -214,10 +208,6 @@ def _run_analyze(config, out_dir) -> List[FileRecord]:
     return records
 
 
-def _correlation_horizon(config) -> float:
-    return config.correlation_time if config.correlation_time is not None else config.horizon
-
-
 def _guard_pair(config, t):
     pair = build_pair(config)
     _guard_events(
@@ -227,7 +217,7 @@ def _guard_pair(config, t):
 
 
 def _run_correlate(config, out_dir) -> List[FileRecord]:
-    t = _correlation_horizon(config)
+    t = config.resolved().correlation_time
     pair = _guard_pair(config, t)
     n = config.angle_grid_size
     thetas = [2.0 * math.pi * k / n for k in range(n)]
@@ -240,13 +230,8 @@ def _run_correlate(config, out_dir) -> List[FileRecord]:
     return [FileRecord("correlate.csv", rows, _sha256_file(path))]
 
 
-def _default_residual_horizons(config):
-    hs = sorted({config.horizon / 10.0**k for k in range(3, -1, -1)})
-    return tuple(h for h in hs if h > 0.0)
-
-
 def _run_residual(config, out_dir) -> List[FileRecord]:
-    horizons = config.residual_horizons or _default_residual_horizons(config)
+    horizons = config.resolved().residual_horizons
     pair = _guard_pair(config, horizons[-1])
     curve = residual_curve(
         pair, config.residual_theta_a, config.residual_theta_b, horizons
@@ -257,7 +242,7 @@ def _run_residual(config, out_dir) -> List[FileRecord]:
 
 
 def _run_chsh(config, out_dir) -> List[FileRecord]:
-    t = _correlation_horizon(config)
+    t = config.resolved().correlation_time
     pair = _guard_pair(config, t)
     a1, a2, b1, b2 = config.chsh_angles
     result = chsh(pair, a1, a2, b1, b2, t)
@@ -354,13 +339,14 @@ def _summarize_tables(name, out_dir) -> List[str]:
     return lines
 
 
-_RUNNERS = {
-    "generate": _run_generate,
-    "analyze": _run_analyze,
-    "correlate": _run_correlate,
-    "residual": _run_residual,
-    "chsh": _run_chsh,
-    "report": _run_report,
+# name -> (help, runner); report reads the outputs of the others, in this order
+SUBCOMMANDS = {
+    "generate": ("write event logs for both sequences", _run_generate),
+    "analyze": ("almost-period, randomness, and spectrum tables", _run_analyze),
+    "correlate": ("correlation E over a uniform angle grid", _run_correlate),
+    "residual": ("residual convergence curve over horizons", _run_residual),
+    "chsh": ("four-setting CHSH statistic", _run_chsh),
+    "report": ("aggregate prior outputs into a text summary", _run_report),
 }
 
 
@@ -371,12 +357,13 @@ def resolve_out_dir(config: ExperimentConfig) -> str:
 
 def run_subcommand(config: ExperimentConfig, name: str) -> RunManifest:
     """Run one subcommand, write its outputs and manifest, return the manifest."""
-    if name not in _RUNNERS:
-        raise ConfigError(f"unknown subcommand {name!r}; expected one of {SUBCOMMANDS}")
+    if name not in SUBCOMMANDS:
+        raise ConfigError(f"unknown subcommand {name!r}; expected one of {tuple(SUBCOMMANDS)}")
     out_dir = resolve_out_dir(config)
     started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     os.makedirs(out_dir, exist_ok=True)
-    files = _RUNNERS[name](config, out_dir)
+    _, run = SUBCOMMANDS[name]
+    files = run(config, out_dir)
     manifest = RunManifest(
         config_digest=config_digest(config),
         version=__version__,
@@ -394,16 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic experiments on winding-generated phase sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "generate": "write event logs for both sequences",
-        "analyze": "almost-period, randomness, and spectrum tables",
-        "correlate": "correlation E over a uniform angle grid",
-        "residual": "residual convergence curve over horizons",
-        "chsh": "four-setting CHSH statistic",
-        "report": "aggregate prior outputs into a text summary",
-    }
-    for name in SUBCOMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
+    for name, (help_text, _) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to the JSON config file")
         sp.add_argument("--out", help="output directory (overrides config and environment)")
         sp.add_argument("--seed", type=int, help="seed override (unsigned 64-bit)")

@@ -3,6 +3,9 @@
 The schema is flat (scalars and lists of scalars only) and round-trips
 losslessly: parse -> serialize -> parse is the identity.  Every randomized
 choice anywhere in a run is determined by ``seed``.
+
+The fields of ExperimentConfig are the only declaration of the schema (type,
+default, domain, list length, cross-field rule); parse_config loops over them.
 """
 
 from __future__ import annotations
@@ -10,12 +13,66 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
-from typing import Optional, Tuple
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from typing import Callable, Optional, Tuple
 
 from .errors import ConfigError
 
 _CANONICAL_CHSH = (0.0, math.pi / 2.0, 7.0 * math.pi / 4.0, math.pi / 4.0)
+_BASIS = "2*genus"  # list length: one entry per basis cycle
+_FREE = "free"  # list length: any
+
+
+@dataclass(frozen=True)
+class _Rule:
+    """How parse_config checks one key.
+
+    ``kind`` is the element type; ``length`` is None for a scalar, else an
+    int, _BASIS or _FREE.  ``check(value, parsed, key)`` is a cross-field rule
+    over the keys parsed so far; ``resolve(config)`` is the value a None means.
+    """
+
+    kind: type
+    length: object = None
+    minimum: Optional[int] = None
+    maximum: Optional[int] = None
+    positive: bool = False
+    choices: Tuple[str, ...] = ()
+    check: Optional[Callable] = None
+    resolve: Optional[Callable] = None
+
+
+def _key(kind, default=MISSING, **rule):
+    return field(default=default, metadata={"rule": _Rule(kind, **rule)})
+
+
+def _at_most_horizon(share, label):
+    def check(value, parsed, key):
+        limit = parsed["horizon"] * share
+        if value > limit:
+            raise ConfigError(f"must be <= {label} = {limit}, got {value}", key=key)
+    return check
+
+
+def _window_in_horizon(value, parsed, key):
+    if not 0.0 <= value[0] < value[1] <= parsed["horizon"]:
+        raise ConfigError(
+            f"must satisfy 0 <= start < end <= horizon {parsed['horizon']}, got {list(value)}",
+            key=key,
+        )
+
+
+def _ascending_to_horizon(value, parsed, key):
+    if not value:
+        raise ConfigError("must be non-empty", key=key)
+    for k in range(1, len(value)):
+        if value[k] < value[k - 1]:
+            raise ConfigError("must be sorted ascending", key=f"{key}[{k}]")
+    if value[-1] > parsed["horizon"]:
+        raise ConfigError(
+            f"must be <= horizon {parsed['horizon']}, got {value[-1]}",
+            key=f"{key}[{len(value) - 1}]",
+        )
 
 
 @dataclass(frozen=True)
@@ -24,212 +81,116 @@ class ExperimentConfig:
 
     Required keys describe the pair (surface, exchanged chains, cycle phases
     and periods, horizon) plus the seed; optional keys parameterize individual
-    subcommands and default to None / documented values.
+    subcommands.  Four optional keys default to None, which stands for a value
+    derived from the horizon (see resolved).
     """
 
-    genus: int
-    chain_a: Tuple[int, ...]
-    chain_b: Tuple[int, ...]
-    betas: Tuple[float, ...]
-    periods: Tuple[float, ...]
-    horizon: float
-    seed: int
-    out_dir: Optional[str] = None
-    correlation_time: Optional[float] = None  # default: horizon
-    angle_grid_size: int = 8
-    chsh_angles: Tuple[float, float, float, float] = _CANONICAL_CHSH
-    epsilon: float = 0.25
-    search_bound: Optional[float] = None  # default: horizon / 4
-    sample_step: float = 1.0
-    n_samples: int = 10000
-    spectrum_lambda_max: float = 4.0 * math.pi
-    spectrum_lambda_count: int = 33
-    event_window: Optional[Tuple[float, float]] = None  # default: (0, horizon)
-    residual_horizons: Optional[Tuple[float, ...]] = None  # default: decades
-    residual_theta_a: float = 0.0
-    residual_theta_b: float = 0.0
-    analysis_target: str = "a"
+    genus: int = _key(int, minimum=0)
+    chain_a: Tuple[int, ...] = _key(int, length=_BASIS)
+    chain_b: Tuple[int, ...] = _key(int, length=_BASIS)
+    betas: Tuple[float, ...] = _key(float, length=_BASIS)
+    periods: Tuple[float, ...] = _key(float, length=_BASIS, positive=True)
+    horizon: float = _key(float, positive=True)
+    seed: int = _key(int, minimum=0, maximum=2**64 - 1)
+    out_dir: Optional[str] = _key(str, None)
+    correlation_time: Optional[float] = _key(
+        float, None, positive=True, check=_at_most_horizon(1.0, "horizon"),
+        resolve=lambda c: c.horizon,
+    )
+    angle_grid_size: int = _key(int, 8, minimum=1)
+    chsh_angles: Tuple[float, float, float, float] = _key(float, _CANONICAL_CHSH, length=4)
+    epsilon: float = _key(float, 0.25, positive=True)
+    search_bound: Optional[float] = _key(
+        float, None, positive=True, check=_at_most_horizon(0.5, "horizon/2"),
+        resolve=lambda c: c.horizon / 4.0,
+    )
+    sample_step: float = _key(float, 1.0, positive=True)
+    n_samples: int = _key(int, 10000, minimum=1000)
+    spectrum_lambda_max: float = _key(float, 4.0 * math.pi, positive=True)
+    spectrum_lambda_count: int = _key(int, 33, minimum=1)
+    event_window: Optional[Tuple[float, float]] = _key(
+        float, None, length=2, check=_window_in_horizon, resolve=lambda c: (0.0, c.horizon)
+    )
+    residual_horizons: Optional[Tuple[float, ...]] = _key(
+        float, None, length=_FREE, positive=True, check=_ascending_to_horizon,
+        resolve=lambda c: tuple(sorted({c.horizon / 10.0**k for k in range(4)} - {0.0})),
+    )
+    residual_theta_a: float = _key(float, 0.0)
+    residual_theta_b: float = _key(float, 0.0)
+    analysis_target: str = _key(str, "a", choices=("a", "b"))
+
+    def resolved(self) -> "ExperimentConfig":
+        """This config with each None replaced by the value its key's rule resolves."""
+        return replace(self, **{
+            f.name: f.metadata["rule"].resolve(self)
+            for f in fields(self)
+            if f.metadata["rule"].resolve and getattr(self, f.name) is None
+        })
 
 
-_REQUIRED = ("genus", "chain_a", "chain_b", "betas", "periods", "horizon", "seed")
-_KNOWN = set(ExperimentConfig.__dataclass_fields__)
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
 
 
-def _want_int(value, key, minimum=None, maximum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"expected an integer, got {value!r}", key=key)
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"must be >= {minimum}, got {value}", key=key)
-    if maximum is not None and value > maximum:
-        raise ConfigError(f"must be <= {maximum}, got {value}", key=key)
-    return value
-
-
-def _want_real(value, key, positive=False):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}", key=key)
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"must be finite, got {value!r}", key=key)
-    if positive and value <= 0.0:
+def _want_scalar(value, key, rule):
+    if rule.kind is str:
+        if not isinstance(value, str) or (rule.choices and value not in rule.choices):
+            wanted = " or ".join(map(repr, rule.choices)) or "a string"
+            raise ConfigError(f"expected {wanted}, got {value!r}", key=key)
+        return value
+    real = rule.kind is float
+    if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
+        raise ConfigError(f"expected {'a number' if real else 'an integer'}, got {value!r}", key=key)
+    if real:
+        value = float(value)
+        if not math.isfinite(value):
+            raise ConfigError(f"must be finite, got {value!r}", key=key)
+    if rule.positive and value <= 0.0:
         raise ConfigError(f"must be > 0, got {value}", key=key)
+    if rule.minimum is not None and value < rule.minimum:
+        raise ConfigError(f"must be >= {rule.minimum}, got {value}", key=key)
+    if rule.maximum is not None and value > rule.maximum:
+        raise ConfigError(f"must be <= {rule.maximum}, got {value}", key=key)
     return value
 
 
-def _want_list(value, key, length=None):
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"expected a list, got {value!r}", key=key)
-    if length is not None and len(value) != length:
-        raise ConfigError(f"expected length {length}, got {len(value)}", key=key)
-    return list(value)
+def _want_value(value, key, rule, parsed):
+    if rule.length is None:
+        value = _want_scalar(value, key, rule)
+    else:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"expected a list, got {value!r}", key=key)
+        length = 2 * parsed["genus"] if rule.length == _BASIS else rule.length
+        if length != _FREE and len(value) != length:
+            basis = " (= 2*genus)" if rule.length == _BASIS else ""
+            raise ConfigError(f"expected length {length}{basis}, got {len(value)}", key=key)
+        value = tuple(_want_scalar(v, f"{key}[{k}]", rule) for k, v in enumerate(value))
+    if rule.check:
+        rule.check(value, parsed, key)
+    return value
 
 
 def parse_config(data: dict, source: str = "<config>") -> ExperimentConfig:
     """Validate a flat mapping into an ExperimentConfig.
 
     Raises ConfigError naming the offending key (e.g. "periods[0]") on any
-    missing, unknown, or out-of-domain entry.
+    missing, unknown, or out-of-domain entry.  An explicit null stands for
+    the default only where that default is None.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{source}: top level must be a mapping")
     for key in data:
-        if key not in _KNOWN:
+        if key not in _FIELDS:
             raise ConfigError("unknown key", key=key)
-    for key in _REQUIRED:
-        if key not in data:
+    for key, f in _FIELDS.items():
+        if f.default is MISSING and key not in data:
             raise ConfigError("missing required key", key=key)
-
-    genus = _want_int(data["genus"], "genus", minimum=0)
-    basis = 2 * genus
-
-    chains = {}
-    for name in ("chain_a", "chain_b"):
-        raw = _want_list(data[name], name)
-        if len(raw) != basis:
-            raise ConfigError(
-                f"expected length {basis} (= 2*genus), got {len(raw)}", key=name
-            )
-        chains[name] = tuple(
-            _want_int(c, f"{name}[{k}]") for k, c in enumerate(raw)
-        )
-
-    betas = tuple(
-        _want_real(b, f"betas[{k}]")
-        for k, b in enumerate(_want_list(data["betas"], "betas", length=basis))
-    )
-    periods = tuple(
-        _want_real(p, f"periods[{k}]", positive=True)
-        for k, p in enumerate(_want_list(data["periods"], "periods", length=basis))
-    )
-    horizon = _want_real(data["horizon"], "horizon", positive=True)
-    seed = _want_int(data["seed"], "seed", minimum=0, maximum=2**64 - 1)
-
-    out_dir = data.get("out_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"expected a string, got {out_dir!r}", key="out_dir")
-
-    correlation_time = data.get("correlation_time")
-    if correlation_time is not None:
-        correlation_time = _want_real(correlation_time, "correlation_time", positive=True)
-        if correlation_time > horizon:
-            raise ConfigError(
-                f"must be <= horizon {horizon}, got {correlation_time}",
-                key="correlation_time",
-            )
-
-    angle_grid_size = _want_int(data.get("angle_grid_size", 8), "angle_grid_size", minimum=1)
-
-    chsh_angles = data.get("chsh_angles")
-    if chsh_angles is None:
-        chsh_angles = _CANONICAL_CHSH
-    else:
-        chsh_angles = tuple(
-            _want_real(a, f"chsh_angles[{k}]")
-            for k, a in enumerate(_want_list(chsh_angles, "chsh_angles", length=4))
-        )
-
-    epsilon = _want_real(data.get("epsilon", 0.25), "epsilon", positive=True)
-
-    search_bound = data.get("search_bound")
-    if search_bound is not None:
-        search_bound = _want_real(search_bound, "search_bound", positive=True)
-        if search_bound > horizon / 2.0:
-            raise ConfigError(
-                f"must be <= horizon/2 = {horizon / 2.0}, got {search_bound}",
-                key="search_bound",
-            )
-
-    sample_step = _want_real(data.get("sample_step", 1.0), "sample_step", positive=True)
-    n_samples = _want_int(data.get("n_samples", 10000), "n_samples", minimum=1000)
-    spectrum_lambda_max = _want_real(
-        data.get("spectrum_lambda_max", 4.0 * math.pi), "spectrum_lambda_max", positive=True
-    )
-    spectrum_lambda_count = _want_int(
-        data.get("spectrum_lambda_count", 33), "spectrum_lambda_count", minimum=1
-    )
-
-    event_window = data.get("event_window")
-    if event_window is not None:
-        raw = _want_list(event_window, "event_window", length=2)
-        w0 = _want_real(raw[0], "event_window[0]")
-        w1 = _want_real(raw[1], "event_window[1]")
-        if not (0.0 <= w0 < w1 <= horizon):
-            raise ConfigError(
-                f"must satisfy 0 <= start < end <= horizon {horizon}, got {raw}",
-                key="event_window",
-            )
-        event_window = (w0, w1)
-
-    residual_horizons = data.get("residual_horizons")
-    if residual_horizons is not None:
-        raw = _want_list(residual_horizons, "residual_horizons")
-        if not raw:
-            raise ConfigError("must be non-empty", key="residual_horizons")
-        hs = [
-            _want_real(h, f"residual_horizons[{k}]", positive=True)
-            for k, h in enumerate(raw)
-        ]
-        for k, (a, b) in enumerate(zip(hs, hs[1:])):
-            if b < a:
-                raise ConfigError("must be sorted ascending", key=f"residual_horizons[{k + 1}]")
-        if hs[-1] > horizon:
-            raise ConfigError(
-                f"must be <= horizon {horizon}, got {hs[-1]}",
-                key=f"residual_horizons[{len(hs) - 1}]",
-            )
-        residual_horizons = tuple(hs)
-
-    residual_theta_a = _want_real(data.get("residual_theta_a", 0.0), "residual_theta_a")
-    residual_theta_b = _want_real(data.get("residual_theta_b", 0.0), "residual_theta_b")
-
-    analysis_target = data.get("analysis_target", "a")
-    if analysis_target not in ("a", "b"):
-        raise ConfigError(f'expected "a" or "b", got {analysis_target!r}', key="analysis_target")
-
-    return ExperimentConfig(
-        genus=genus,
-        chain_a=chains["chain_a"],
-        chain_b=chains["chain_b"],
-        betas=betas,
-        periods=periods,
-        horizon=horizon,
-        seed=seed,
-        out_dir=out_dir,
-        correlation_time=correlation_time,
-        angle_grid_size=angle_grid_size,
-        chsh_angles=chsh_angles,
-        epsilon=epsilon,
-        search_bound=search_bound,
-        sample_step=sample_step,
-        n_samples=n_samples,
-        spectrum_lambda_max=spectrum_lambda_max,
-        spectrum_lambda_count=spectrum_lambda_count,
-        event_window=event_window,
-        residual_horizons=residual_horizons,
-        residual_theta_a=residual_theta_a,
-        residual_theta_b=residual_theta_b,
-        analysis_target=analysis_target,
-    )
+    parsed = {}
+    for key, f in _FIELDS.items():
+        value = data.get(key, f.default)
+        if value is not None or f.default is not None:
+            value = _want_value(value, key, f.metadata["rule"], parsed)
+        parsed[key] = value
+    return ExperimentConfig(**parsed)
 
 
 def load_config(path) -> ExperimentConfig:

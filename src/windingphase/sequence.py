@@ -21,7 +21,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .topology import TWO_PI, CycleAssignment, SurfaceSpec, WindingChain, _dot_mod_2pi, wrap_angle
+from .topology import TWO_PI, CycleAssignment, SurfaceSpec, WindingChain, _dot_mod_2pi
 
 # Segments thinner than this are treated as float artifacts of shifted event
 # times (see find_almost_periods) and skipped when probing suprema.
@@ -148,16 +148,21 @@ def events_in(seq: PhaseSequence, t0: float, t1: float) -> List[PhaseEvent]:
     ]
 
 
+def _exact_phases(seq: PhaseSequence, taus) -> List[float]:
+    """Phi at each of taus: its integer winding counts reduced exactly mod 2*pi."""
+    idx, periods, _ = seq._active_arrays()
+    coefficients = [int(seq.chain.coefficients[i]) for i in idx]
+    betas = [seq.assignment.betas[i] for i in idx]
+    counts = _completed_windings(taus, periods).tolist()
+    return [_dot_mod_2pi([k * m for k, m in zip(row, coefficients)], betas) for row in counts]
+
+
 def phase_at(seq: PhaseSequence, tau: float) -> float:
-    """Accumulated phase at tau, in [0, 2*pi), by closed-form winding counts."""
+    """Accumulated phase at tau, in [0, 2*pi), from its winding counts reduced exactly."""
     tau = float(tau)
     if not math.isfinite(tau) or tau < 0.0 or tau > seq.horizon:
         raise DomainError(f"tau must lie in [0, horizon {seq.horizon}], got {tau!r}")
-    _, periods, increments = seq._active_arrays()
-    if periods.size == 0:
-        return 0.0
-    n = _completed_windings(tau, periods)
-    return wrap_angle(math.fsum(float(inc) * int(k) for inc, k in zip(increments, n)))
+    return _exact_phases(seq, [tau])[0]
 
 
 def phase_at_many(seq: PhaseSequence, taus) -> np.ndarray:
@@ -186,15 +191,11 @@ def _windows(seq: PhaseSequence, t: float, edges=()):
     integer winding counts reduced exactly mod 2*pi, so rounding does not
     grow with t.
     """
-    idx, periods, _ = seq._active_arrays()
-    coefficients = [int(seq.chain.coefficients[i]) for i in idx]
-    betas = [seq.assignment.betas[i] for i in idx]
+    _, periods, _ = seq._active_arrays()
     n = max(1, math.ceil(t * float(np.sum(1.0 / periods)) / _WINDOW_EVENTS))
     cuts = np.unique(np.concatenate((np.linspace(0.0, t, n + 1), edges))).tolist()
-    for a, b in zip(cuts[:-1], cuts[1:]):
+    for a, b, start in zip(cuts[:-1], cuts[1:], _exact_phases(seq, cuts[:-1])):
         times, _, incs = event_arrays(seq, a, b)
-        counts = _completed_windings(a, periods).tolist()
-        start = _dot_mod_2pi([k * m for k, m in zip(counts, coefficients)], betas)
         bounds = np.concatenate(([a], times, [b]))
         phases = np.concatenate(([start], start + np.cumsum(incs)))
         yield bounds, np.exp(1j * phases)

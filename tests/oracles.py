@@ -1,7 +1,7 @@
 """Slow reference implementations kept only for tests.
 
-Each oracle is an earlier, independently structured route to a result the
-package now computes from one segment table per sequence:
+Each oracle is an earlier or independently structured route to a result
+the package computes another way:
 
 - ``almost_periods_per_shift`` regenerates the shifted events and calls
   ``phase_at_many`` on every probe of every candidate shift;
@@ -9,20 +9,28 @@ package now computes from one segment table per sequence:
   all of [0, t] with a running phase that grows with t (the spectrum oracle
   rebuilds that table for each lambda);
 - ``merged_correlation`` integrates the detector product over the merged
-  events of both sequences of a pair, not over the difference chain.
+  events of both sequences of a pair, not over the difference chain;
+- ``phase_fraction`` reduces a phase's winding counts in exact rationals;
+- ``parse_config_by_hand`` checks each config key with its own lines of
+  code instead of looping over the declaration on ExperimentConfig.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from windingphase.config import _CANONICAL_CHSH, ExperimentConfig
+from windingphase.errors import ConfigError
 from windingphase.sequence import (
     _SLIVER,
     AlmostPeriodCandidate,
     AlmostPeriodReport,
+    _completed_windings,
     event_arrays,
     phase_at_many,
 )
+from windingphase.topology import TWO_PI
 
 
 def _segments(seq, t):
@@ -102,3 +110,203 @@ def merged_correlation(pair, theta_a, theta_b, t):
     value = float(np.sum(widths * np.cos(theta_a + gamma) * np.cos(theta_b - gamma)) * 2.0 / t)
     residual = float(np.sum(widths * np.cos(theta_a - theta_b + 2.0 * gamma)) / t)
     return value, residual, int(widths.size)
+
+
+def phase_fraction(seq, tau):
+    """Phi(tau) from the integer winding counts, reduced in exact rationals.
+
+    The package's circle is [0, TWO_PI) with TWO_PI the float 2*pi, a dyadic
+    rational, so sum(n_i * m_i * beta_i) mod TWO_PI has an exact value; this
+    returns it correctly rounded.
+    """
+    idx, periods, _ = seq._active_arrays()
+    counts = _completed_windings(float(tau), periods).tolist()
+    total = sum(
+        (Fraction(n * seq.chain.coefficients[i]) * Fraction(seq.assignment.betas[i])
+         for n, i in zip(counts, idx.tolist())),
+        Fraction(0),
+    )
+    return float(total % Fraction(TWO_PI))
+
+
+_REQUIRED = ("genus", "chain_a", "chain_b", "betas", "periods", "horizon", "seed")
+_KNOWN = set(ExperimentConfig.__dataclass_fields__)
+
+
+def _want_int(value, key, minimum=None, maximum=None):
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"expected an integer, got {value!r}", key=key)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"must be >= {minimum}, got {value}", key=key)
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"must be <= {maximum}, got {value}", key=key)
+    return value
+
+
+def _want_real(value, key, positive=False):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}", key=key)
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"must be finite, got {value!r}", key=key)
+    if positive and value <= 0.0:
+        raise ConfigError(f"must be > 0, got {value}", key=key)
+    return value
+
+
+def _want_list(value, key, length=None):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"expected a list, got {value!r}", key=key)
+    if length is not None and len(value) != length:
+        raise ConfigError(f"expected length {length}, got {len(value)}", key=key)
+    return list(value)
+
+
+def parse_config_by_hand(data, source="<config>"):
+    """parse_config as a hand-written key-by-key parser, one check per line.
+
+    It predates the declaration on ExperimentConfig's fields and differs from
+    it in one place: an explicit ``"chsh_angles": null`` means the default
+    here, while parse_config refuses it (null means the default only where
+    that default is None).
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{source}: top level must be a mapping")
+    for key in data:
+        if key not in _KNOWN:
+            raise ConfigError("unknown key", key=key)
+    for key in _REQUIRED:
+        if key not in data:
+            raise ConfigError("missing required key", key=key)
+
+    genus = _want_int(data["genus"], "genus", minimum=0)
+    basis = 2 * genus
+
+    chains = {}
+    for name in ("chain_a", "chain_b"):
+        raw = _want_list(data[name], name)
+        if len(raw) != basis:
+            raise ConfigError(
+                f"expected length {basis} (= 2*genus), got {len(raw)}", key=name
+            )
+        chains[name] = tuple(
+            _want_int(c, f"{name}[{k}]") for k, c in enumerate(raw)
+        )
+
+    betas = tuple(
+        _want_real(b, f"betas[{k}]")
+        for k, b in enumerate(_want_list(data["betas"], "betas", length=basis))
+    )
+    periods = tuple(
+        _want_real(p, f"periods[{k}]", positive=True)
+        for k, p in enumerate(_want_list(data["periods"], "periods", length=basis))
+    )
+    horizon = _want_real(data["horizon"], "horizon", positive=True)
+    seed = _want_int(data["seed"], "seed", minimum=0, maximum=2**64 - 1)
+
+    out_dir = data.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"expected a string, got {out_dir!r}", key="out_dir")
+
+    correlation_time = data.get("correlation_time")
+    if correlation_time is not None:
+        correlation_time = _want_real(correlation_time, "correlation_time", positive=True)
+        if correlation_time > horizon:
+            raise ConfigError(
+                f"must be <= horizon {horizon}, got {correlation_time}",
+                key="correlation_time",
+            )
+
+    angle_grid_size = _want_int(data.get("angle_grid_size", 8), "angle_grid_size", minimum=1)
+
+    chsh_angles = data.get("chsh_angles")
+    if chsh_angles is None:
+        chsh_angles = _CANONICAL_CHSH
+    else:
+        chsh_angles = tuple(
+            _want_real(a, f"chsh_angles[{k}]")
+            for k, a in enumerate(_want_list(chsh_angles, "chsh_angles", length=4))
+        )
+
+    epsilon = _want_real(data.get("epsilon", 0.25), "epsilon", positive=True)
+
+    search_bound = data.get("search_bound")
+    if search_bound is not None:
+        search_bound = _want_real(search_bound, "search_bound", positive=True)
+        if search_bound > horizon / 2.0:
+            raise ConfigError(
+                f"must be <= horizon/2 = {horizon / 2.0}, got {search_bound}",
+                key="search_bound",
+            )
+
+    sample_step = _want_real(data.get("sample_step", 1.0), "sample_step", positive=True)
+    n_samples = _want_int(data.get("n_samples", 10000), "n_samples", minimum=1000)
+    spectrum_lambda_max = _want_real(
+        data.get("spectrum_lambda_max", 4.0 * math.pi), "spectrum_lambda_max", positive=True
+    )
+    spectrum_lambda_count = _want_int(
+        data.get("spectrum_lambda_count", 33), "spectrum_lambda_count", minimum=1
+    )
+
+    event_window = data.get("event_window")
+    if event_window is not None:
+        raw = _want_list(event_window, "event_window", length=2)
+        w0 = _want_real(raw[0], "event_window[0]")
+        w1 = _want_real(raw[1], "event_window[1]")
+        if not (0.0 <= w0 < w1 <= horizon):
+            raise ConfigError(
+                f"must satisfy 0 <= start < end <= horizon {horizon}, got {raw}",
+                key="event_window",
+            )
+        event_window = (w0, w1)
+
+    residual_horizons = data.get("residual_horizons")
+    if residual_horizons is not None:
+        raw = _want_list(residual_horizons, "residual_horizons")
+        if not raw:
+            raise ConfigError("must be non-empty", key="residual_horizons")
+        hs = [
+            _want_real(h, f"residual_horizons[{k}]", positive=True)
+            for k, h in enumerate(raw)
+        ]
+        for k, (a, b) in enumerate(zip(hs, hs[1:])):
+            if b < a:
+                raise ConfigError("must be sorted ascending", key=f"residual_horizons[{k + 1}]")
+        if hs[-1] > horizon:
+            raise ConfigError(
+                f"must be <= horizon {horizon}, got {hs[-1]}",
+                key=f"residual_horizons[{len(hs) - 1}]",
+            )
+        residual_horizons = tuple(hs)
+
+    residual_theta_a = _want_real(data.get("residual_theta_a", 0.0), "residual_theta_a")
+    residual_theta_b = _want_real(data.get("residual_theta_b", 0.0), "residual_theta_b")
+
+    analysis_target = data.get("analysis_target", "a")
+    if analysis_target not in ("a", "b"):
+        raise ConfigError(f'expected "a" or "b", got {analysis_target!r}', key="analysis_target")
+
+    return ExperimentConfig(
+        genus=genus,
+        chain_a=chains["chain_a"],
+        chain_b=chains["chain_b"],
+        betas=betas,
+        periods=periods,
+        horizon=horizon,
+        seed=seed,
+        out_dir=out_dir,
+        correlation_time=correlation_time,
+        angle_grid_size=angle_grid_size,
+        chsh_angles=chsh_angles,
+        epsilon=epsilon,
+        search_bound=search_bound,
+        sample_step=sample_step,
+        n_samples=n_samples,
+        spectrum_lambda_max=spectrum_lambda_max,
+        spectrum_lambda_count=spectrum_lambda_count,
+        event_window=event_window,
+        residual_horizons=residual_horizons,
+        residual_theta_a=residual_theta_a,
+        residual_theta_b=residual_theta_b,
+        analysis_target=analysis_target,
+    )

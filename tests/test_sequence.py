@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import phase_fraction
 from windingphase import (
     CycleAssignment,
     DomainError,
@@ -157,6 +158,14 @@ class TestPhaseAt:
         seq2 = make_seq(2, (3, 1, 0, -2), (1.1, 0.3, 0.2, 0.7), (0.8, 1.0, 2.0, 1.5), 100.0)
         for tau in (0.0, 0.4, 1.6, 7.77, 42.123, 99.5):
             assert phase_at(seq1, tau) == phase_at(seq2, tau)
+
+    @pytest.mark.parametrize("tau", [1e4, 1e6, 1e8])
+    def test_exact_against_rational_reduction(self, tau):
+        # canonical difference chain: the winding counts reach ~1e8, where a
+        # float sum of increment * count was off by ~5e-8
+        betas = (TWO_PI * (PHI % 1.0), TWO_PI * (math.sqrt(3.0) % 1.0))
+        seq = make_seq(1, (-1, 1), betas, (1.0, math.sqrt(2.0)), 1e8)
+        assert circular_distance(phase_at(seq, tau), phase_fraction(seq, tau)) <= 1e-15
 
     def test_active_period_count_bounded_by_basis(self):
         rng = np.random.default_rng(55)
