@@ -265,11 +265,9 @@ def _run_report(config, out_dir) -> List[FileRecord]:
     digest = config_digest(config)
     lines = ["experiment summary", f"config digest: {digest}", ""]
     found = False
-    for name in SUBCOMMANDS:
-        if name == "report":
-            continue
+    for name, (_, _, summarize) in SUBCOMMANDS.items():
         mpath = _manifest_path(out_dir, name)
-        if not os.path.exists(mpath):
+        if summarize is None or not os.path.exists(mpath):
             continue
         manifest = load_manifest(mpath)
         try:
@@ -285,7 +283,7 @@ def _run_report(config, out_dir) -> List[FileRecord]:
         lines.append(f"[{name}] {len(manifest.files)} file(s), digests verified")
         for record in manifest.files:
             lines.append(f"  {record.name}: {record.rows} row(s)")
-        lines.extend(_summarize_tables(name, out_dir))
+        lines.extend(summarize(out_dir))
         lines.append("")
     if not found:
         lines.append("no prior subcommand outputs found in this directory")
@@ -296,57 +294,67 @@ def _run_report(config, out_dir) -> List[FileRecord]:
     return [FileRecord("summary.txt", len(lines), _sha256_file(path))]
 
 
-def _summarize_tables(name, out_dir) -> List[str]:
-    lines = []
-    if name == "chsh":
-        rows = _read_csv(os.path.join(out_dir, "chsh.csv"))
-        if rows:
-            r = rows[0]
-            lines.append(
-                f"  CHSH S = {float(r['s']):.6f} at t = {float(r['t']):g} "
-                f"(settings {float(r['a1']):.4f}, {float(r['a2']):.4f}, "
-                f"{float(r['b1']):.4f}, {float(r['b2']):.4f})"
-            )
-    elif name == "correlate":
-        rows = _read_csv(os.path.join(out_dir, "correlate.csv"))
-        if rows:
-            worst = max(abs(float(r["residual"])) for r in rows)
-            lines.append(f"  correlation grid: {len(rows)} settings, max |residual| = {worst:.6f}")
-    elif name == "residual":
-        rows = _read_csv(os.path.join(out_dir, "residual.csv"))
-        if rows:
-            last = rows[-1]
-            lines.append(
-                f"  residual at t = {float(last['t']):g}: {float(last['residual']):.6f}"
-            )
-    elif name == "analyze":
-        rows = _read_csv(os.path.join(out_dir, "almost_periods.csv"))
-        lines.append(f"  almost-period candidates passing: {len(rows)}")
-        if rows:
-            best = min(rows, key=lambda r: float(r["discrepancy"]))
-            lines.append(
-                f"  best shift {float(best['tau_star']):g} "
-                f"(discrepancy {float(best['discrepancy']):.3e})"
-            )
-        rnd = _read_csv(os.path.join(out_dir, "randomness.csv"))
-        if rnd:
-            r = rnd[0]
-            lines.append(
-                f"  monobit p = {float(r['monobit_p']):.4f}, "
-                f"permutation entropy = {float(r['permutation_entropy']):.4f} "
-                f"({r['sample_count']} samples)"
-            )
+def _summarize_generate(out_dir) -> List[str]:
+    return []
+
+
+def _summarize_analyze(out_dir) -> List[str]:
+    rows = _read_csv(os.path.join(out_dir, "almost_periods.csv"))
+    lines = [f"  almost-period candidates passing: {len(rows)}"]
+    if rows:
+        best = min(rows, key=lambda r: float(r["discrepancy"]))
+        lines.append(
+            f"  best shift {float(best['tau_star']):g} "
+            f"(discrepancy {float(best['discrepancy']):.3e})"
+        )
+    rnd = _read_csv(os.path.join(out_dir, "randomness.csv"))
+    if rnd:
+        r = rnd[0]
+        lines.append(
+            f"  monobit p = {float(r['monobit_p']):.4f}, "
+            f"permutation entropy = {float(r['permutation_entropy']):.4f} "
+            f"({r['sample_count']} samples)"
+        )
     return lines
 
 
-# name -> (help, runner); report reads the outputs of the others, in this order
+def _summarize_correlate(out_dir) -> List[str]:
+    rows = _read_csv(os.path.join(out_dir, "correlate.csv"))
+    if not rows:
+        return []
+    worst = max(abs(float(r["residual"])) for r in rows)
+    return [f"  correlation grid: {len(rows)} settings, max |residual| = {worst:.6f}"]
+
+
+def _summarize_residual(out_dir) -> List[str]:
+    rows = _read_csv(os.path.join(out_dir, "residual.csv"))
+    if not rows:
+        return []
+    last = rows[-1]
+    return [f"  residual at t = {float(last['t']):g}: {float(last['residual']):.6f}"]
+
+
+def _summarize_chsh(out_dir) -> List[str]:
+    rows = _read_csv(os.path.join(out_dir, "chsh.csv"))
+    if not rows:
+        return []
+    r = rows[0]
+    return [
+        f"  CHSH S = {float(r['s']):.6f} at t = {float(r['t']):g} "
+        f"(settings {float(r['a1']):.4f}, {float(r['a2']):.4f}, "
+        f"{float(r['b1']):.4f}, {float(r['b2']):.4f})"
+    ]
+
+
+# name -> (help, runner, summary of its tables for report); report lists the
+# outputs of every subcommand with a summary, in this order
 SUBCOMMANDS = {
-    "generate": ("write event logs for both sequences", _run_generate),
-    "analyze": ("almost-period, randomness, and spectrum tables", _run_analyze),
-    "correlate": ("correlation E over a uniform angle grid", _run_correlate),
-    "residual": ("residual convergence curve over horizons", _run_residual),
-    "chsh": ("four-setting CHSH statistic", _run_chsh),
-    "report": ("aggregate prior outputs into a text summary", _run_report),
+    "generate": ("write event logs for both sequences", _run_generate, _summarize_generate),
+    "analyze": ("almost-period, randomness, and spectrum tables", _run_analyze, _summarize_analyze),
+    "correlate": ("correlation E over a uniform angle grid", _run_correlate, _summarize_correlate),
+    "residual": ("residual convergence curve over horizons", _run_residual, _summarize_residual),
+    "chsh": ("four-setting CHSH statistic", _run_chsh, _summarize_chsh),
+    "report": ("aggregate prior outputs into a text summary", _run_report, None),
 }
 
 
@@ -362,7 +370,7 @@ def run_subcommand(config: ExperimentConfig, name: str) -> RunManifest:
     out_dir = resolve_out_dir(config)
     started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     os.makedirs(out_dir, exist_ok=True)
-    _, run = SUBCOMMANDS[name]
+    _, run, _ = SUBCOMMANDS[name]
     files = run(config, out_dir)
     manifest = RunManifest(
         config_digest=config_digest(config),
@@ -381,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic experiments on winding-generated phase sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in SUBCOMMANDS.items():
+    for name, (help_text, _, _) in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to the JSON config file")
         sp.add_argument("--out", help="output directory (overrides config and environment)")

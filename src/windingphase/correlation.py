@@ -21,10 +21,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
 from .errors import DimensionError, DomainError
-from .sequence import PhaseSequence, _windows, bohr_mean, event_count, phase_at
+from .sequence import PhaseSequence, _segment_sum, _windows, bohr_mean, event_count, phase_at
 from .sequence import event_arrays  # noqa: F401 -- perfbench/spans.py wraps this binding
 from .topology import wrap_angle
 
@@ -146,7 +144,7 @@ def residual_curve(
     integral = 0j
     out = []
     for bounds, factors in _windows(_doubled(pair.difference), hs[-1], hs):
-        integral += complex(np.sum(factors * np.diff(bounds)))
+        integral += complex(_segment_sum(bounds, factors))
         while len(out) < len(hs) and hs[len(out)] == bounds[-1]:
             t = hs[len(out)]
             out.append((t, (rotation * integral).real / t))

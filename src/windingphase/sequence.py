@@ -114,6 +114,26 @@ def event_count(seq: PhaseSequence, t0: float = 0.0, t1: float = None) -> int:
     return int(np.sum(n1 - n0))
 
 
+def _merged_progressions(periods, n0, n1):
+    """Event times of every cycle in one window, and the order that merges them.
+
+    Cycle k fires at (n0[k] + 1) * T_k, ..., n1[k] * T_k.  Returns (times,
+    order, counts): ``times`` holds these arithmetic progressions block by
+    block in cycle order, ``order`` is the stable argsort that merges them
+    (so simultaneous events stay in cycle order) and ``counts[k]`` is the
+    number of events of cycle k.  Times are n * T from integer n, never
+    repeated additions, so they carry no accumulated drift.
+    """
+    counts = n1 - n0
+    ends = np.cumsum(counts)
+    times = np.arange(int(counts.sum()), dtype=float)
+    for k in range(counts.size):
+        block = times[ends[k] - counts[k] : ends[k]]
+        block += n0[k] + 1 - (ends[k] - counts[k])
+        block *= periods[k]
+    return times, np.argsort(times, kind="stable"), counts
+
+
 def event_arrays(seq: PhaseSequence, t0: float, t1: float):
     """Events in (t0, t1] as arrays (times, cycle_indices, increments).
 
@@ -123,19 +143,10 @@ def event_arrays(seq: PhaseSequence, t0: float, t1: float):
     """
     t0, t1 = _check_window(seq, t0, t1)
     idx, periods, increments = seq._active_arrays()
-    n0 = _completed_windings(t0, periods)
-    n1 = _completed_windings(t1, periods)
-    counts = n1 - n0
-    ends = np.cumsum(counts)
-    times = np.arange(int(counts.sum()), dtype=float)
-    for k in range(idx.size):
-        block = times[ends[k] - counts[k] : ends[k]]
-        block += n0[k] + 1 - (ends[k] - counts[k])
-        block *= periods[k]
+    n0, n1 = _completed_windings([t0, t1], periods)
+    times, order, counts = _merged_progressions(periods, n0, n1)
     cycles = np.repeat(idx, counts)
     incs = np.repeat(increments, counts)
-    # stable: blocks are in cycle order, so simultaneous events stay in it
-    order = np.argsort(times, kind="stable")
     return times[order], cycles[order], incs[order]
 
 
@@ -148,13 +159,14 @@ def events_in(seq: PhaseSequence, t0: float, t1: float) -> List[PhaseEvent]:
     ]
 
 
-def _exact_phases(seq: PhaseSequence, taus) -> List[float]:
-    """Phi at each of taus: its integer winding counts reduced exactly mod 2*pi."""
-    idx, periods, _ = seq._active_arrays()
+def _exact_phases(seq: PhaseSequence, counts) -> List[float]:
+    """Phi for each row of active-cycle winding counts, reduced exactly mod 2*pi."""
+    idx = seq.active_cycles
     coefficients = [int(seq.chain.coefficients[i]) for i in idx]
     betas = [seq.assignment.betas[i] for i in idx]
-    counts = _completed_windings(taus, periods).tolist()
-    return [_dot_mod_2pi([k * m for k, m in zip(row, coefficients)], betas) for row in counts]
+    return [
+        _dot_mod_2pi([k * m for k, m in zip(row, coefficients)], betas) for row in counts.tolist()
+    ]
 
 
 def phase_at(seq: PhaseSequence, tau: float) -> float:
@@ -162,7 +174,8 @@ def phase_at(seq: PhaseSequence, tau: float) -> float:
     tau = float(tau)
     if not math.isfinite(tau) or tau < 0.0 or tau > seq.horizon:
         raise DomainError(f"tau must lie in [0, horizon {seq.horizon}], got {tau!r}")
-    return _exact_phases(seq, [tau])[0]
+    _, periods, _ = seq._active_arrays()
+    return _exact_phases(seq, _completed_windings([tau], periods))[0]
 
 
 def phase_at_many(seq: PhaseSequence, taus) -> np.ndarray:
@@ -181,6 +194,18 @@ def phase_at_many(seq: PhaseSequence, taus) -> np.ndarray:
     return phases
 
 
+def _unit_phasors(phases, out) -> np.ndarray:
+    """Write e^{i phases} into the complex array ``out``, bit for bit as np.exp(1j * phases).
+
+    1j * phases has real parts +-0.0 and imaginary parts phases + 0.0 (a
+    -0.0 phase becomes +0.0), and e^{+-0 + iy} does not depend on the sign
+    of the zero, so the exponential is taken in place on that array.
+    """
+    out.real = 0.0
+    np.add(phases, 0.0, out=out.imag)
+    return np.exp(out, out=out)
+
+
 def _windows(seq: PhaseSequence, t: float, edges=()):
     """Yield (bounds, factors) for consecutive windows tiling [0, t].
 
@@ -189,16 +214,41 @@ def _windows(seq: PhaseSequence, t: float, edges=()):
     times and ends at its end; ``factors[k]`` is e^{i Phi} on
     [bounds[k], bounds[k+1]).  Each window starts from the phase of its
     integer winding counts reduced exactly mod 2*pi, so rounding does not
-    grow with t.
+    grow with t.  Every window is written into the same buffers: use (or
+    overwrite) its arrays before asking for the next one.
     """
-    _, periods, _ = seq._active_arrays()
+    _, periods, increments = seq._active_arrays()
     n = max(1, math.ceil(t * float(np.sum(1.0 / periods)) / _WINDOW_EVENTS))
-    cuts = np.unique(np.concatenate((np.linspace(0.0, t, n + 1), edges))).tolist()
-    for a, b, start in zip(cuts[:-1], cuts[1:], _exact_phases(seq, cuts[:-1])):
-        times, _, incs = event_arrays(seq, a, b)
-        bounds = np.concatenate(([a], times, [b]))
-        phases = np.concatenate(([start], start + np.cumsum(incs)))
-        yield bounds, np.exp(1j * phases)
+    cuts = np.unique(np.concatenate((np.linspace(0.0, t, n + 1), edges)))
+    counts = _completed_windings(cuts, periods)
+    most = int(np.max(np.sum(np.diff(counts, axis=0), axis=1)))
+    bounds_buf, phases_buf = np.empty(most + 2), np.empty(most + 1)
+    factors_buf = np.empty(most + 1, dtype=complex)
+    for j, start in enumerate(_exact_phases(seq, counts[:-1])):
+        times, order, per_cycle = _merged_progressions(periods, counts[j], counts[j + 1])
+        # order holds valid indices; mode "raise" would copy through a buffer
+        bounds = bounds_buf[: order.size + 2]
+        bounds[0], bounds[-1] = cuts[j], cuts[j + 1]
+        np.take(times, order, out=bounds[1:-1], mode="wrap")
+        # start, then start + the running sum of the increments in time order
+        phases = phases_buf[: order.size + 1]
+        phases[0] = start
+        np.take(np.repeat(increments, per_cycle), order, out=phases[1:], mode="wrap")
+        np.cumsum(phases[1:], out=phases[1:])
+        phases[1:] += start
+        yield bounds, _unit_phasors(phases, factors_buf[: order.size + 1])
+
+
+def _segment_sum(bounds, factors) -> np.complex128:
+    """np.sum(factors * np.diff(bounds)), the same bits, scaling ``factors`` in place.
+
+    Each product is the one the complex multiply rounds to (up to the sign
+    of a zero), and the sum runs over the same contiguous layout.
+    """
+    width = np.diff(bounds)
+    factors.real *= width
+    factors.imag *= width
+    return np.sum(factors)
 
 
 def _check_time(seq: PhaseSequence, t: float) -> float:
@@ -220,7 +270,7 @@ def bohr_mean(seq: PhaseSequence, t: float) -> complex:
     t = _check_time(seq, t)
     total = 0j
     for bounds, factors in _windows(seq, t):
-        total += np.sum(factors * np.diff(bounds))
+        total += _segment_sum(bounds, factors)
     return complex(total / t)
 
 
@@ -242,9 +292,24 @@ def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
     for bounds, factors in _windows(seq, t):
         width = np.diff(bounds)
         centers = bounds[:-1] + bounds[1:]
+        scale, sinc, kernel = np.empty_like(width), np.empty_like(width), np.empty_like(factors)
         for k, lam in enumerate(lams):
-            kernel = width * np.sinc(lam * width / (2.0 * np.pi)) * np.exp(-0.5j * lam * centers)
-            out[k] += np.sum(factors * kernel)
+            # width * np.sinc(lam * width / (2 pi)) in np.sinc's own steps:
+            # y = pi * x, a zero y replaced by eps (giving 1.0), then sin(y) / y
+            np.multiply(lam, width, out=scale)
+            scale /= 2.0 * np.pi
+            scale *= np.pi
+            scale[scale == 0.0] = np.finfo(float).eps
+            np.sin(scale, out=sinc)
+            sinc /= scale
+            sinc *= width
+            # times e^{-i lam (a + b) / 2}, whose angle is (-0.5 lam) * centers
+            np.multiply(centers, -0.5 * lam, out=scale)
+            _unit_phasors(scale, kernel)
+            kernel.real *= sinc
+            kernel.imag *= sinc
+            np.multiply(factors, kernel, out=kernel)
+            out[k] += np.sum(kernel)
     return out / t
 
 
