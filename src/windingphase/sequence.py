@@ -346,6 +346,26 @@ class AlmostPeriodReport:
         return min(self.candidates, key=lambda c: c.discrepancy)
 
 
+def _block_discrepancy(cuts, shift, times, factors, horizon):
+    """Largest |e^{i Phi(tau + shift)} - e^{i Phi(tau)}| over one block's segments.
+
+    ``cuts`` holds the block's two edges and every base and shifted event
+    time between them, unsorted and possibly repeated.  It is sorted in
+    place; a repeated cut makes a zero-width neighbour pair, which the
+    sliver mask drops just as deduplicating would.  Returns None when no
+    segment is wider than the sliver.
+    """
+    cuts.sort()
+    left, right = cuts[:-1], cuts[1:]
+    wide = (right - left) > _SLIVER
+    mids = 0.5 * (left[wide] + right[wide])
+    if mids.size == 0:
+        return None
+    here = factors[np.searchsorted(times, mids, side="right")]
+    there = factors[np.searchsorted(times, np.minimum(mids + shift, horizon), side="right")]
+    return float(np.max(np.abs(there - here)))
+
+
 def find_almost_periods(
     seq: PhaseSequence, epsilon: float, search_bound: float, sample_step: float
 ) -> AlmostPeriodReport:
@@ -360,6 +380,15 @@ def find_almost_periods(
     segment of their merged event partition realizes the supremum without a
     sampling-density parameter.  Segments thinner than 1e-9 time units are
     float artifacts of shifted event times and are skipped.
+
+    Each shift's window is evaluated in consecutive blocks: the first holds
+    the first 64 base event times, each later block four times as many, and
+    the last ends at the window end.  Every block edge is a base event time
+    (or 0 or the window end), so it is a cut of the whole window's partition,
+    and the blocks' segments are exactly the whole window's segments with the
+    same midpoints.  The running maximum over the blocks is therefore the
+    whole-window supremum bit for bit, and the first block over ``epsilon``
+    rejects the shift with the verdict the whole window would give.
     """
     epsilon = float(epsilon)
     if not math.isfinite(epsilon) or epsilon <= 0.0:
@@ -381,29 +410,44 @@ def find_almost_periods(
     _, periods, _ = seq._active_arrays()
     for T in periods:
         shifts.append(np.arange(1, math.floor(search_bound / T) + 1) * T)
-    candidates = np.unique(np.concatenate(shifts)) if shifts else np.empty(0)
+    candidates = np.unique(np.concatenate(shifts))
     candidates = candidates[(candidates > 0.0) & (candidates <= search_bound)]
 
     # e^{i Phi(tau)} for every tau, indexed by the number of event times <= tau
     times = np.unique(event_arrays(seq, 0.0, seq.horizon)[0])
     factors = np.exp(1j * phase_at_many(seq, np.concatenate(([0.0], times))))
     base_times = times[: np.searchsorted(times, window_end, side="right")]
+    # (end, base cuts) per block: its edges and the base event times between
+    blocks, x0, first, size = [], 0.0, 0, 64
+    while first + size < base_times.size:
+        x1 = base_times[first + size - 1]
+        blocks.append((x1, np.concatenate(([x0], base_times[first : first + size]))))
+        x0, first, size = x1, first + size, 4 * size
+    blocks.append((window_end, np.concatenate(([x0], base_times[first:], [window_end]))))
     passing = []
     for shift in candidates:
         lo, hi = np.searchsorted(times, (shift, shift + window_end), side="right")
-        shifted = times[lo:hi] - shift
-        cuts = np.unique(np.concatenate(([0.0], base_times, shifted, [window_end])))
-        cuts = cuts[(cuts >= 0.0) & (cuts <= window_end)]
-        widths = np.diff(cuts)
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        mids = mids[widths > _SLIVER]
-        if mids.size == 0:
-            continue
-        here = factors[np.searchsorted(times, mids, side="right")]
-        there = factors[np.searchsorted(times, np.minimum(mids + shift, seq.horizon), side="right")]
-        discrepancy = float(np.max(np.abs(there - here)))
-        if discrepancy <= epsilon:
-            passing.append(AlmostPeriodCandidate(float(shift), discrepancy))
+        worst = None
+        for x1, base_cuts in blocks:
+            # times[lo:end] - shift are the shifted event times up to x1.  The
+            # search on x1 + shift may be off by rounding; t - shift rounds
+            # monotonically in t, so stepping on the differences settles it.
+            end = min(max(np.searchsorted(times, x1 + shift, side="right"), lo), hi)
+            while end > lo and times[end - 1] - shift > x1:
+                end -= 1
+            while end < hi and times[end] - shift <= x1:
+                end += 1
+            cuts = np.concatenate((base_cuts, times[lo:end] - shift))
+            lo = end
+            block = _block_discrepancy(cuts, shift, times, factors, seq.horizon)
+            if block is None:
+                continue
+            if block > epsilon:
+                break
+            worst = block if worst is None else max(worst, block)
+        else:
+            if worst is not None:
+                passing.append(AlmostPeriodCandidate(float(shift), worst))
     return AlmostPeriodReport(
         epsilon=epsilon,
         candidates=tuple(passing),

@@ -5,6 +5,9 @@ the package computes another way:
 
 - ``almost_periods_per_shift`` regenerates the shifted events and calls
   ``phase_at_many`` on every probe of every candidate shift;
+- ``almost_periods_whole_window`` looks phases up in one event table like
+  the package does, but merges and probes each shift's whole window at once
+  instead of block by block with an early exit;
 - ``bohr_mean_whole`` and ``fourier_coefficient_scalar`` sum one table over
   all of [0, t] with a running phase that grows with t (the spectrum oracle
   rebuilds that table for each lambda);
@@ -70,6 +73,46 @@ def almost_periods_per_shift(seq, epsilon, search_bound, sample_step):
             continue
         here = np.exp(1j * phase_at_many(seq, mids))
         there = np.exp(1j * phase_at_many(seq, np.minimum(mids + shift, seq.horizon)))
+        discrepancy = float(np.max(np.abs(there - here)))
+        if discrepancy <= epsilon:
+            passing.append(AlmostPeriodCandidate(float(shift), discrepancy))
+    return AlmostPeriodReport(
+        epsilon=epsilon,
+        candidates=tuple(passing),
+        window=(0.0, float(window_end)),
+        sample_step=sample_step,
+        scanned=int(candidates.size),
+    )
+
+
+def almost_periods_whole_window(seq, epsilon, search_bound, sample_step):
+    """find_almost_periods scanning each shift's whole window in one merge."""
+    epsilon, search_bound, sample_step = float(epsilon), float(search_bound), float(sample_step)
+    window_end = seq.horizon - search_bound
+    shifts = [np.arange(1, math.floor(search_bound / sample_step) + 1) * sample_step]
+    _, periods, _ = seq._active_arrays()
+    for T in periods:
+        shifts.append(np.arange(1, math.floor(search_bound / T) + 1) * T)
+    candidates = np.unique(np.concatenate(shifts))
+    candidates = candidates[(candidates > 0.0) & (candidates <= search_bound)]
+
+    # e^{i Phi(tau)} for every tau, indexed by the number of event times <= tau
+    times = np.unique(event_arrays(seq, 0.0, seq.horizon)[0])
+    factors = np.exp(1j * phase_at_many(seq, np.concatenate(([0.0], times))))
+    base_times = times[: np.searchsorted(times, window_end, side="right")]
+    passing = []
+    for shift in candidates:
+        lo, hi = np.searchsorted(times, (shift, shift + window_end), side="right")
+        shifted = times[lo:hi] - shift
+        cuts = np.unique(np.concatenate(([0.0], base_times, shifted, [window_end])))
+        cuts = cuts[(cuts >= 0.0) & (cuts <= window_end)]
+        widths = np.diff(cuts)
+        mids = 0.5 * (cuts[:-1] + cuts[1:])
+        mids = mids[widths > _SLIVER]
+        if mids.size == 0:
+            continue
+        here = factors[np.searchsorted(times, mids, side="right")]
+        there = factors[np.searchsorted(times, np.minimum(mids + shift, seq.horizon), side="right")]
         discrepancy = float(np.max(np.abs(there - here)))
         if discrepancy <= epsilon:
             passing.append(AlmostPeriodCandidate(float(shift), discrepancy))

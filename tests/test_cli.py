@@ -4,14 +4,17 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from windingphase import (
     config_digest,
+    event_arrays,
     parse_config,
     phase_at,
     read_event_log,
     save_config,
+    sequence,
     wrap_angle,
 )
 from windingphase.cli import (
@@ -117,6 +120,40 @@ class TestSubcommands:
         spec_rows = read_rows(out / "spectrum.csv")
         assert len(spec_rows) == 3
         assert [r["lambda"] for r in spec_rows][0] == "0"
+
+    def test_default_analyze_scan_stops_failing_shifts_early(self, tmp_path, monkeypatch):
+        # Every optional key unset: search_bound defaults to horizon/4, so
+        # the scan has about 1e4 candidate shifts over a 1.5e4-unit window.
+        cfg = parse_config({
+            "genus": 2,
+            "chain_a": [1, -1, 2, 1],
+            "chain_b": [0, 1, 1, -2],
+            "betas": [TWO_PI * (PHI % 1.0), TWO_PI * (math.sqrt(3.0) % 1.0), 1.0, 2.5],
+            "periods": [1.0, 2.0, math.sqrt(3.0), math.sqrt(5.0)],
+            "horizon": 2e4,
+            "seed": 5,
+        })
+        cfg_path = tmp_path / "g2.json"
+        save_config(cfg, cfg_path)
+        evaluated, shifts = [0], set()
+        block = sequence._block_discrepancy
+
+        def counting_block(cuts, shift, *rest):
+            evaluated[0] += cuts.size
+            shifts.add(float(shift))
+            return block(cuts, shift, *rest)
+
+        monkeypatch.setattr(sequence, "_block_discrepancy", counting_block)
+        assert main(["analyze", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+
+        seq = build_sequences(cfg)[0]
+        window_end = cfg.horizon - cfg.resolved().search_bound
+        base = np.unique(event_arrays(seq, 0.0, window_end)[0]).size
+        assert len(shifts) >= 10000 and base >= 25000
+        # A whole-window scan merges the base event times with about as many
+        # shifted ones for every shift; blocks that reject early cut that
+        # to a small fraction.
+        assert evaluated[0] <= 0.02 * len(shifts) * 2 * base
 
     def test_correlate_genus0_rows_satisfy_closed_form(self, tmp_path):
         cfg_path, _ = genus0_config(tmp_path)

@@ -1,5 +1,6 @@
 """Properties of the windowed and one-table reductions against the slow routes in oracles.py."""
 
+import itertools
 import math
 from unittest import mock
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import (
     _segments,
     almost_periods_per_shift,
+    almost_periods_whole_window,
     bohr_mean_whole,
     fourier_coefficient_scalar,
     merged_correlation,
@@ -80,6 +82,65 @@ def test_almost_period_scan_matches_per_shift_oracle(data, pair):
         # pushes past the horizon; there is nothing to compare against
         assume(False)
     assert find_almost_periods(seq, epsilon, search_bound, sample_step) == expected
+
+
+@st.composite
+def long_sequences(draw):
+    """Sequences over genus 0-2 whose scan windows span several blocks.
+
+    Small increments let some shifts pass epsilon, so their windows are
+    scanned to the end; periods 1 and 2 put shifted event times on base
+    event times and block edges; some chains are zero.
+    """
+    # 0: genus 0; 1: a zero chain; 2-5: genus 1 or 2 with drawn coefficients
+    kind = draw(st.integers(0, 5))
+    genus = 0 if kind == 0 else 1 + kind % 2
+    n = 2 * genus
+    surface = SurfaceSpec(genus)
+    betas = st.one_of(st.floats(0.0, 0.1), st.floats(0.0, TWO_PI, exclude_max=True))
+    # periods of at least 0.5 keep the whole-window oracle quick at 5000
+    coarse_periods = st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.5, 3.0))
+    assign = CycleAssignment(
+        surface,
+        draw(st.lists(betas, min_size=n, max_size=n)),
+        draw(st.lists(coarse_periods, min_size=n, max_size=n)),
+    )
+    drawn = st.lists(st.sampled_from([1, -1, 2, -2, 0]), min_size=n, max_size=n)
+    chain = [0] * n if kind == 1 else draw(drawn)
+    horizon = draw(st.floats(500.0, 5000.0))
+    return PhaseSequence(surface, WindingChain(surface, chain), assign, horizon)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(data=st.data(), seq=long_sequences())
+def test_blockwise_scan_matches_whole_window_oracle(data, seq):
+    epsilon = data.draw(st.floats(0.05, 2.0))
+    search_bound = data.draw(st.floats(0.5, 20.0))
+    sample_step = data.draw(st.floats(0.25, 3.0))
+    blocks = []
+    evaluate = sequence._block_discrepancy
+
+    def recording_block(cuts, shift, *rest):
+        blocks.append((float(shift), np.unique(cuts)))
+        return evaluate(cuts, shift, *rest)
+
+    with mock.patch.object(sequence, "_block_discrepancy", recording_block):
+        got = find_almost_periods(seq, epsilon, search_bound, sample_step)
+    expected = almost_periods_whole_window(seq, epsilon, search_bound, sample_step)
+    # candidates with their discrepancy bits, scanned and window
+    assert got == expected
+
+    # Each shift's blocks share their edges and together hold exactly the
+    # whole window's cuts up to the last block evaluated.
+    times = np.unique(sequence.event_arrays(seq, 0.0, seq.horizon)[0])
+    window_end = expected.window[1]
+    for shift, group in itertools.groupby(blocks, key=lambda b: b[0]):
+        cut_sets = [cuts for _, cuts in group]
+        assert all(a[-1] == b[0] for a, b in zip(cut_sets, cut_sets[1:]))
+        lo, hi = np.searchsorted(times, (shift, shift + window_end), side="right")
+        whole = np.unique(np.concatenate(([0.0], times, times[lo:hi] - shift, [window_end])))
+        whole = whole[(whole >= 0.0) & (whole <= cut_sets[-1][-1])]
+        assert np.array_equal(np.unique(np.concatenate(cut_sets)), whole)
 
 
 @PROPERTY
