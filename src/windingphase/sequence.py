@@ -153,10 +153,7 @@ def event_arrays(seq: PhaseSequence, t0: float, t1: float):
 def events_in(seq: PhaseSequence, t0: float, t1: float) -> List[PhaseEvent]:
     """All events with time in (t0, t1], ordered by (time, cycle_index)."""
     times, cycles, incs = event_arrays(seq, t0, t1)
-    return [
-        PhaseEvent(float(t), int(c), float(v))
-        for t, c, v in zip(times, cycles, incs)
-    ]
+    return list(map(PhaseEvent, times.tolist(), cycles.tolist(), incs.tolist()))
 
 
 def _exact_phases(seq: PhaseSequence, counts) -> List[float]:
@@ -206,6 +203,16 @@ def _unit_phasors(phases, out) -> np.ndarray:
     return np.exp(out, out=out)
 
 
+def _window_cuts(periods, t0: float, t1: float, edges=()) -> np.ndarray:
+    """Sorted cut times tiling [t0, t1] into windows of about _WINDOW_EVENTS events.
+
+    The cuts start at t0, end at t1, are evenly spaced in between and also
+    include every time in ``edges``.
+    """
+    n = max(1, math.ceil((t1 - t0) * float(np.sum(1.0 / periods)) / _WINDOW_EVENTS))
+    return np.unique(np.concatenate((np.linspace(t0, t1, n + 1), edges)))
+
+
 def _windows(seq: PhaseSequence, t: float, edges=()):
     """Yield (bounds, factors) for consecutive windows tiling [0, t].
 
@@ -218,8 +225,7 @@ def _windows(seq: PhaseSequence, t: float, edges=()):
     overwrite) its arrays before asking for the next one.
     """
     _, periods, increments = seq._active_arrays()
-    n = max(1, math.ceil(t * float(np.sum(1.0 / periods)) / _WINDOW_EVENTS))
-    cuts = np.unique(np.concatenate((np.linspace(0.0, t, n + 1), edges)))
+    cuts = _window_cuts(periods, 0.0, t, edges)
     counts = _completed_windings(cuts, periods)
     most = int(np.max(np.sum(np.diff(counts, axis=0), axis=1)))
     bounds_buf, phases_buf = np.empty(most + 2), np.empty(most + 1)

@@ -14,6 +14,11 @@ the package computes another way:
 - ``merged_correlation`` integrates the detector product over the merged
   events of both sequences of a pair, not over the difference chain;
 - ``phase_fraction`` reduces a phase's winding counts in exact rationals;
+- ``write_event_log_one_shot`` renders every row of the interval at once
+  from one event_arrays call, instead of window by window;
+- ``read_event_log_by_line`` parses a log one line at a time with float()
+  and int(), instead of in chunks with np.loadtxt (a non-numeric field
+  escapes it as the bare ValueError of float() or int());
 - ``parse_config_by_hand`` checks each config key with its own lines of
   code instead of looping over the declaration on ExperimentConfig.
 """
@@ -24,11 +29,13 @@ from fractions import Fraction
 import numpy as np
 
 from windingphase.config import _CANONICAL_CHSH, ExperimentConfig
-from windingphase.errors import ConfigError
+from windingphase.errors import ConfigError, DomainError
+from windingphase.eventlog import HEADER
 from windingphase.sequence import (
     _SLIVER,
     AlmostPeriodCandidate,
     AlmostPeriodReport,
+    PhaseEvent,
     _completed_windings,
     event_arrays,
     phase_at_many,
@@ -170,6 +177,34 @@ def phase_fraction(seq, tau):
         Fraction(0),
     )
     return float(total % Fraction(TWO_PI))
+
+
+def write_event_log_one_shot(path, seq, t0=0.0, t1=None):
+    """Write all events of ``seq`` in (t0, t1] to ``path``; returns the row count."""
+    t1 = seq.horizon if t1 is None else t1
+    times, cycles, incs = event_arrays(seq, t0, t1)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(HEADER + "\n")
+        fh.writelines(map("{:.17g},{},{:.17g}\n".format, times.tolist(), cycles.tolist(), incs.tolist()))
+    return int(times.size)
+
+
+def read_event_log_by_line(path):
+    """Read an event log written by write_event_log."""
+    events = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != HEADER:
+            raise DomainError(f"unrecognized event log header: {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise DomainError(f"line {lineno}: expected 3 fields, got {len(parts)}")
+            events.append(PhaseEvent(float(parts[0]), int(parts[1]), float(parts[2])))
+    return events
 
 
 _REQUIRED = ("genus", "chain_a", "chain_b", "betas", "periods", "horizon", "seed")
