@@ -12,17 +12,37 @@ the temporal correlation of the two detector responses is
 where M2(t) = (1/t) * integral_0^t e^{2 i gamma} is summed exactly over the
 constant segments of gamma.  The second term, the residual, vanishes as t
 grows whenever 2*gamma equidistributes mod 2*pi.
+
+M2 is the one costly quantity and does not depend on the angles, so
+``correlation``, ``correlations`` and ``chsh`` read it from a bounded memo
+(least recently used, 256 entries).  An entry is keyed on the exact bits M2
+is computed from: the doubled difference chain's integer coefficients, the
+``float.hex`` of every beta, period and of t, and ``sequence._WINDOW_EVENTS``
+(the window size, which sets where the sum is cut).  A settings sweep at one
+(pair, t) therefore sums the windows once, and every result has the bits of
+a fresh ``bohr_mean``.  ``residual_curve`` cuts its windows at its own
+horizons and keeps its own pass.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
+from . import sequence
 from .errors import DimensionError, DomainError
-from .sequence import PhaseSequence, _segment_sum, _windows, bohr_mean, event_count, phase_at
+from .sequence import (
+    PhaseSequence,
+    _check_time,
+    _segment_sum,
+    _windows,
+    bohr_mean,
+    event_count,
+    phase_at,
+)
 from .sequence import event_arrays  # noqa: F401 -- perfbench/spans.py wraps this binding
 from .topology import wrap_angle
 
@@ -96,13 +116,49 @@ def _doubled(seq: PhaseSequence) -> PhaseSequence:
     return replace(seq, chain=seq.chain + seq.chain)
 
 
+class _MomentKey:
+    """A checked (sequence, t) that hashes and compares by the bits bohr_mean sums from.
+
+    Equal keys have equal coefficients, equal float bit patterns and the same
+    window size, so bohr_mean returns the same bits for both; a -0.0 and a
+    0.0 beta make different keys.
+    """
+
+    __slots__ = ("seq", "t", "bits")
+
+    def __init__(self, seq: PhaseSequence, t: float):
+        self.seq, self.t = seq, t
+        self.bits = (
+            seq.chain.coefficients,
+            tuple(map(float.hex, seq.assignment.betas)),
+            tuple(map(float.hex, seq.assignment.periods)),
+            t.hex(),
+            sequence._WINDOW_EVENTS,
+        )
+
+    def __hash__(self):
+        return hash(self.bits)
+
+    def __eq__(self, other):
+        return self.bits == other.bits
+
+
+@functools.lru_cache(maxsize=256)
+def _memo_moment(key: _MomentKey) -> complex:
+    return bohr_mean(key.seq, key.t)
+
+
+def _check_angles(angles) -> None:
+    if not all(math.isfinite(a) for a in angles):
+        raise DomainError("angles must be finite")
+
+
 def correlations(pair: PairConfig, settings, t: float) -> Tuple[CorrelationEstimate, ...]:
     """One correlation per (theta_a, theta_b) in ``settings``, all from one M2(t)."""
     settings = [(float(ta), float(tb)) for ta, tb in settings]
-    if not all(math.isfinite(ta) and math.isfinite(tb) for ta, tb in settings):
-        raise DomainError("angles must be finite")
-    m2 = bohr_mean(_doubled(pair.difference), t)
-    t = float(t)
+    _check_angles(a for setting in settings for a in setting)
+    t = _check_time(pair.sequence_a, t)
+    m2 = _memo_moment(_MomentKey(_doubled(pair.difference), t))
     segments = event_count(pair.sequence_a, 0.0, t) + event_count(pair.sequence_b, 0.0, t) + 1
     out = []
     for ta, tb in settings:
@@ -133,6 +189,8 @@ def residual_curve(
     ``horizons`` must be sorted ascending, positive, and within the pair's
     horizon.  Returns (t, residual) tuples.
     """
+    theta_a, theta_b = float(theta_a), float(theta_b)
+    _check_angles((theta_a, theta_b))
     hs = [float(h) for h in horizons]
     if not hs:
         raise DomainError("horizons must be non-empty")
@@ -140,7 +198,7 @@ def residual_curve(
         raise DomainError(f"horizons must lie in (0, horizon {pair.horizon}]")
     if any(b < a for a, b in zip(hs, hs[1:])):
         raise DomainError("horizons must be sorted ascending")
-    rotation = cmath.exp(1j * (float(theta_a) - float(theta_b)))
+    rotation = cmath.exp(1j * (theta_a - theta_b))
     integral = 0j
     out = []
     for bounds, factors in _windows(_doubled(pair.difference), hs[-1], hs):

@@ -1,7 +1,14 @@
+import cmath
+import importlib
 import math
+import sys
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from windingphase import (
     CycleAssignment,
@@ -18,8 +25,12 @@ from windingphase import (
     phase_at_many,
     relative_phase,
     residual_curve,
+    sequence,
     wrap_angle,
 )
+
+# The package exports the function ``correlation`` under the module's name.
+corr = importlib.import_module("windingphase.correlation")
 
 TWO_PI = 2.0 * math.pi
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -252,6 +263,9 @@ class TestResidualCurve:
             residual_curve(canonical_pair, 0.0, 0.0, [])
         with pytest.raises(DomainError):
             residual_curve(canonical_pair, 0.0, 0.0, [100.0, 2500.0])
+        for ta, tb in ((math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)):
+            with pytest.raises(DomainError, match="angles must be finite"):
+                residual_curve(canonical_pair, ta, tb, [10.0, 100.0])
 
 
 class TestChsh:
@@ -294,3 +308,152 @@ class TestChsh:
             a1, a2, b1, b2 = (float(x) for x in rng.uniform(0, TWO_PI, 4))
             result = chsh(canonical_pair, a1, a2, b1, b2, 500.0)
             assert abs(result.s) <= 4.0 + 1e-12
+
+
+def fresh_moment(pair, t):
+    """M2(t) summed now, outside the memo."""
+    return corr.bohr_mean(corr._doubled(pair.difference), t)
+
+
+def expected_estimate(pair, ta, tb, t, m2):
+    residual = (cmath.exp(1j * (ta - tb)) * m2).real
+    return math.cos(ta + tb) + residual, residual
+
+
+def hex_pair(value, residual):
+    return value.hex(), residual.hex()
+
+
+@st.composite
+def memo_pairs(draw):
+    """Genus 0-2 pairs whose betas include signed zeros."""
+    genus = draw(st.integers(0, 2))
+    n = 2 * genus
+    s = SurfaceSpec(genus)
+    betas = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, TWO_PI, exclude_max=True))
+    periods = st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.3, 3.0))
+    coefficients = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    return make_pair(
+        genus,
+        draw(coefficients),
+        draw(coefficients),
+        draw(st.lists(betas, min_size=n, max_size=n)),
+        draw(st.lists(periods, min_size=n, max_size=n)),
+        draw(st.floats(10.0, 120.0)),
+    )
+
+
+@settings(
+    max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(data=st.data(), pair=memo_pairs(), window_events=st.integers(1, 64))
+def test_memoised_moment_is_bit_identical_to_a_fresh_sum(data, pair, window_events):
+    t = data.draw(st.one_of(st.just(pair.horizon), st.floats(0.5, pair.horizon)))
+    angle = st.floats(-10.0, 10.0)
+    ta, tb = data.draw(angle), data.draw(angle)
+    a1, a2, b1, b2 = (data.draw(angle) for _ in range(4))
+    horizons = sorted(data.draw(st.lists(st.floats(0.5, pair.horizon), min_size=1, max_size=3)))
+    corr._memo_moment.cache_clear()
+    with mock.patch.object(sequence, "_WINDOW_EVENTS", window_events):
+        m2 = fresh_moment(pair, t)
+        curve_cold = residual_curve(pair, ta, tb, horizons)
+        want = hex_pair(*expected_estimate(pair, ta, tb, t, m2))
+        for _ in range(2):  # the second call reads the memo
+            est = correlation(pair, ta, tb, t)
+            assert hex_pair(est.value, est.residual) == want
+        result = chsh(pair, a1, a2, b1, b2, t)
+        for est, (x, y) in zip(result.estimates, ((a1, b1), (a1, b2), (a2, b1), (a2, b2))):
+            want = hex_pair(*expected_estimate(pair, x, y, t, m2))
+            assert hex_pair(est.value, est.residual) == want
+        curve_warm = residual_curve(pair, ta, tb, horizons)
+        assert [hex_pair(*row) for row in curve_warm] == [hex_pair(*row) for row in curve_cold]
+    # another window size must not read the entry cached under this one
+    resized_events = window_events + data.draw(st.integers(1, 1 << 14))
+    with mock.patch.object(sequence, "_WINDOW_EVENTS", resized_events):
+        resized = correlation(pair, ta, tb, t)
+        want = hex_pair(*expected_estimate(pair, ta, tb, t, fresh_moment(pair, t)))
+    assert hex_pair(resized.value, resized.residual) == want
+
+
+class TestMomentMemo:
+    @pytest.fixture
+    def sums(self, monkeypatch):
+        """Count the windowed sums the correlation module starts."""
+        calls = []
+        real = corr.bohr_mean
+
+        def counted(seq, t):
+            calls.append(t)
+            return real(seq, t)
+
+        corr._memo_moment.cache_clear()
+        monkeypatch.setattr(corr, "bohr_mean", counted)
+        yield calls
+        corr._memo_moment.cache_clear()
+
+    def test_settings_sweep_sums_once(self, canonical_pair, sums):
+        angles = [TWO_PI * k / 8 + 0.1 for k in range(8)]
+        for ta in angles:
+            for tb in angles:
+                correlation(canonical_pair, ta, tb, 1500.0)
+        chsh(canonical_pair, 0.0, math.pi / 2.0, 7.0 * math.pi / 4.0, math.pi / 4.0, 1500.0)
+        assert sums == [1500.0]
+        assert corr._memo_moment.cache_info()[2:] == (256, 1)  # (maxsize, currsize)
+
+    def test_each_input_bit_makes_its_own_entry(self, monkeypatch, sums):
+        def pair(betas=(1.0, 2.0), periods=(1.0, math.sqrt(2.0))):
+            return make_pair(1, (1, 0), (0, 1), betas, periods, 100.0)
+
+        correlation(pair(), 0.1, 0.2, 50.0)
+        correlation(pair(), 0.3, 0.4, 50.0)
+        assert len(sums) == 1
+        correlation(pair(), 0.1, 0.2, 60.0)  # another t
+        correlation(pair(periods=(1.0, math.sqrt(3.0))), 0.1, 0.2, 50.0)  # another period
+        correlation(pair(betas=(0.0, 2.0)), 0.1, 0.2, 50.0)
+        correlation(pair(betas=(-0.0, 2.0)), 0.1, 0.2, 50.0)  # only the sign of a zero differs
+        monkeypatch.setattr(sequence, "_WINDOW_EVENTS", 7)
+        correlation(pair(), 0.1, 0.2, 50.0)  # another window size
+        assert len(sums) == 6
+        assert corr._memo_moment.cache_info().currsize == 6
+
+    def test_invalid_t_raises_every_time_and_is_not_cached(self, canonical_pair, sums):
+        for t in (0.0, -1.0, math.nan, 2001.0, 0.0):
+            with pytest.raises(DomainError):
+                correlation(canonical_pair, 0.0, 0.0, t)
+            with pytest.raises(DomainError):
+                chsh(canonical_pair, 0.0, 0.0, 0.0, 0.0, t)
+        assert sums == []
+        assert corr._memo_moment.cache_info().currsize == 0
+
+    def test_threads_share_the_memo_without_mixing_entries(self, canonical_pair, sums):
+        times = (300.0, 700.0, 1100.0)
+        want = {
+            t: expected_estimate(canonical_pair, 0.2, 0.9, t, fresh_moment(canonical_pair, t))
+            for t in times
+        }
+        got, errors = [], []
+
+        def sweep(offset):
+            try:
+                for k in range(30):
+                    t = times[(k + offset) % len(times)]
+                    est = correlation(canonical_pair, 0.2, 0.9, t)
+                    got.append(((est.value, est.residual), want[t]))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=sweep, args=(k,)) for k in range(6)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
+        assert len(got) == 6 * 30
+        assert all(hex_pair(*a) == hex_pair(*b) for a, b in got)
+        assert corr._memo_moment.cache_info().currsize == len(times)
