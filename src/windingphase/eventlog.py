@@ -13,6 +13,9 @@ returns every event of the log as one list.
 
 from __future__ import annotations
 
+import gc
+import itertools
+from collections import deque
 from typing import List
 
 import numpy as np
@@ -26,6 +29,10 @@ HEADER = "time,cycle_index,increment"
 _CHUNK_CHARS = 1 << 16
 
 _ROW = np.dtype([("time", "f8"), ("cycle_index", "i8"), ("increment", "f8")])
+
+# Setters of PhaseEvent's slots in _ROW's field order; they write past the
+# frozen dataclass's __setattr__ like its own __init__ does.
+_SLOT_SETTERS = tuple(getattr(PhaseEvent, name).__set__ for name in _ROW.names)
 
 
 def write_event_log(path, seq: PhaseSequence, t0: float = 0.0, t1: float = None) -> int:
@@ -72,19 +79,27 @@ def read_event_log(path) -> List[PhaseEvent]:
     line's exact result or error.
     """
     events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        _check_header(fh.readline())
-        lineno = 2
-        try:
-            while lines := fh.readlines(_CHUNK_CHARS):
-                events.extend(_parse_chunk(lines, lineno))
-                lineno += len(lines)
-        except UnicodeDecodeError:
-            # the bad bytes may follow a malformed line of this chunk: report
-            # whichever a line-by-line read of the whole file meets first
-            fh.seek(0)
+    # the list holds no cycles, so the collections its allocations would
+    # trigger find nothing to free
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             _check_header(fh.readline())
-            return _parse_lines(fh, 2)
+            lineno = 2
+            try:
+                while lines := fh.readlines(_CHUNK_CHARS):
+                    events.extend(_parse_chunk(lines, lineno))
+                    lineno += len(lines)
+            except UnicodeDecodeError:
+                # the bad bytes may follow a malformed line of this chunk: report
+                # whichever a line-by-line read of the whole file meets first
+                fh.seek(0)
+                _check_header(fh.readline())
+                return _parse_lines(fh, 2)
+    finally:
+        if collecting:
+            gc.enable()
     return events
 
 
@@ -105,7 +120,12 @@ def _parse_chunk(lines, lineno: int):
     # a cycle's increment repeats on all its rows: one float per bit pattern
     bits, which = np.unique(rows["increment"].view(np.int64), return_inverse=True)
     increments = np.array(bits.view(float).tolist(), dtype=object)[which]
-    return map(PhaseEvent, rows["time"].tolist(), rows["cycle_index"].tolist(), increments.tolist())
+    # the events are filled slot by slot, bypassing PhaseEvent.__init__ per row
+    events = list(map(object.__new__, itertools.repeat(PhaseEvent, rows.size)))
+    columns = (rows["time"].tolist(), rows["cycle_index"].tolist(), increments.tolist())
+    for fill, values in zip(_SLOT_SETTERS, columns):
+        deque(map(fill, events, values), maxlen=0)
+    return events
 
 
 def _parse_lines(lines, lineno: int) -> List[PhaseEvent]:

@@ -14,7 +14,10 @@ sequence; this module provides the generator plus the analysis battery
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -280,6 +283,40 @@ def bohr_mean(seq: PhaseSequence, t: float) -> complex:
     return complex(total / t)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _spectrum_terms(lams, out, bounds, factors, width, centers, ks) -> None:
+    """Add one window's term to ``out[k]`` for every lam index k in ``ks``.
+
+    Reads the window's arrays without writing them and keeps its scratch
+    buffers to itself, so calls for disjoint ``ks`` may run at once.
+    """
+    scale, sinc, kernel = np.empty_like(width), np.empty_like(width), np.empty_like(factors)
+    for k in ks:
+        lam = lams[k]
+        # width * np.sinc(lam * width / (2 pi)) in np.sinc's own steps:
+        # y = pi * x, a zero y replaced by eps (giving 1.0), then sin(y) / y
+        np.multiply(lam, width, out=scale)
+        scale /= 2.0 * np.pi
+        scale *= np.pi
+        scale[scale == 0.0] = np.finfo(float).eps
+        np.sin(scale, out=sinc)
+        sinc /= scale
+        sinc *= width
+        # times e^{-i lam (a + b) / 2}, whose angle is (-0.5 lam) * centers
+        np.multiply(centers, -0.5 * lam, out=scale)
+        _unit_phasors(scale, kernel)
+        kernel.real *= sinc
+        kernel.imag *= sinc
+        np.multiply(factors, kernel, out=kernel)
+        out[k] += np.sum(kernel)
+
+
 def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
     """Fourier coefficients (1/t) * integral_0^t e^{i Phi(tau)} e^{-i lam tau} d tau.
 
@@ -289,33 +326,39 @@ def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
     ``(b - a) * sinc(lam (b-a) / 2) * e^{-i lam (a+b)/2}``, which reduces to
     the plain segment length at lam = 0; windows are accumulated in the same
     order as in bohr_mean, so lam = 0 reproduces bohr_mean exactly.
+
+    The lams are split over n = min(len(lams), usable CPUs) threads: lam
+    index k goes to group k mod n, this thread runs group 0 and a pool of
+    n - 1 threads the others, and every group ends a window before the next
+    one is built.  Each coefficient is still summed by one thread in window
+    order, so the result is bit-identical to a one-thread pass.
     """
     t = _check_time(seq, t)
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim > 1:
+        raise DomainError(f"need a 1-d array of lams, got shape {lams.shape}")
+    lams = np.atleast_1d(lams)
     if not np.all(np.isfinite(lams)):
         raise DomainError("every lam must be finite")
     out = np.zeros(lams.size, dtype=complex)
-    for bounds, factors in _windows(seq, t):
-        width = np.diff(bounds)
-        centers = bounds[:-1] + bounds[1:]
-        scale, sinc, kernel = np.empty_like(width), np.empty_like(width), np.empty_like(factors)
-        for k, lam in enumerate(lams):
-            # width * np.sinc(lam * width / (2 pi)) in np.sinc's own steps:
-            # y = pi * x, a zero y replaced by eps (giving 1.0), then sin(y) / y
-            np.multiply(lam, width, out=scale)
-            scale /= 2.0 * np.pi
-            scale *= np.pi
-            scale[scale == 0.0] = np.finfo(float).eps
-            np.sin(scale, out=sinc)
-            sinc /= scale
-            sinc *= width
-            # times e^{-i lam (a + b) / 2}, whose angle is (-0.5 lam) * centers
-            np.multiply(centers, -0.5 * lam, out=scale)
-            _unit_phasors(scale, kernel)
-            kernel.real *= sinc
-            kernel.imag *= sinc
-            np.multiply(factors, kernel, out=kernel)
-            out[k] += np.sum(kernel)
+    n = max(1, min(lams.size, _usable_cpus()))
+    groups = [range(w, lams.size, n) for w in range(n)]
+    pool = contextlib.nullcontext()  # one group: it runs here, with no pool
+    if n > 1:
+        # imported here, so only a spectrum of several lams loads it
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(n - 1)
+    with pool:
+        for bounds, factors in _windows(seq, t):
+            width = np.diff(bounds)
+            centers = bounds[:-1] + bounds[1:]
+            terms = functools.partial(_spectrum_terms, lams, out, bounds, factors, width, centers)
+            others = [pool.submit(terms, ks) for ks in groups[1:]]
+            terms(groups[0])
+            # every group ends before _windows reuses its buffers
+            for other in others:
+                other.result()
     return out / t
 
 
@@ -514,6 +557,8 @@ def score_phase_samples(
     phases = np.asarray(phases, dtype=float)
     if phases.ndim != 1 or phases.size < 1000:
         raise DomainError(f"need a 1-d array of >= 1000 samples, got shape {phases.shape}")
+    if not np.all(np.isfinite(phases)):
+        raise DomainError("every phase sample must be finite")
     reduced = np.mod(phases, TWO_PI)
     bits = reduced < math.pi
     z = np.exp(1j * reduced)

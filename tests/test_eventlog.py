@@ -1,3 +1,5 @@
+import dataclasses
+import gc
 import math
 import struct
 import tracemalloc
@@ -83,6 +85,35 @@ def test_replay_from_log_matches_closed_form(tmp_path):
         replay = wrap_angle(math.fsum(e.increment for e in events if e.time <= tau))
         d = abs(replay - phase_at(seq, tau)) % (2.0 * math.pi)
         assert min(d, 2.0 * math.pi - d) <= 1e-9
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_reader_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    write_event_log(good, make_seq())
+    bad.write_text("time,cycle_index,increment\n1.0,0\n")
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert read_event_log(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(DomainError):
+            read_event_log(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_read_events_are_frozen_values(tmp_path):
+    path = tmp_path / "log.csv"
+    write_event_log(path, make_seq())
+    events = read_event_log(path)
+    built = [PhaseEvent(e.time, e.cycle_index, e.increment) for e in events]
+    assert events == built
+    assert list(map(hash, events)) == list(map(hash, built))
+    assert all(type(e) is PhaseEvent for e in events)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        events[0].time = 0.0
 
 
 def test_rejects_unknown_header(tmp_path):

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -153,6 +156,104 @@ def test_spectrum_matches_per_lambda_oracle(data, pair):
     assert got.shape == (len(lams),)
     # same kernel arithmetic in the same order, so equal bit for bit
     assert got.tolist() == [fourier_coefficient_scalar(seq, lam, t) for lam in lams]
+
+
+def _spectrum_by_workers(seq, lams, t, workers):
+    """fourier_spectrum with ``workers`` usable CPUs, and the lam indices each call took."""
+    calls, threads = [], set()
+    terms = sequence._spectrum_terms
+
+    def recording_terms(*args):
+        calls.append(tuple(args[-1]))
+        threads.add(threading.current_thread())
+        return terms(*args)
+
+    with mock.patch.object(sequence, "_usable_cpus", lambda: workers), \
+            mock.patch.object(sequence, "_spectrum_terms", recording_terms):
+        spectrum = fourier_spectrum(seq, lams, t)
+    # the calling thread runs one group and n - 1 pool threads the others
+    assert threading.main_thread() in threads
+    assert len(threads) <= len(set(calls))
+    return spectrum, calls
+
+
+@PROPERTY
+@given(data=st.data(), pair=pairs(), window_events=st.integers(1, 64))
+def test_spectrum_is_bit_identical_for_every_worker_count(data, pair, window_events):
+    seq = data.draw(st.sampled_from([pair.sequence_a, pair.sequence_b, pair.difference]))
+    t = data.draw(st.floats(0.5, pair.horizon))
+    # 1 to 6 lams: fewer than, as many as and more than 1-4 workers
+    lams = data.draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6))
+    oracle = [fourier_coefficient_scalar(seq, lam, t) for lam in lams]
+    for workers in (1, 2, 3, 4):
+        n = min(len(lams), workers)
+        groups = [tuple(range(w, len(lams), n)) for w in range(n)]
+        # one window at these horizons: the oracle's segment table, bit for bit
+        whole, calls = _spectrum_by_workers(seq, lams, t, workers)
+        assert whole.tolist() == oracle
+        assert sorted(calls) == groups
+        # many windows: the same bits as one thread
+        with mock.patch.object(sequence, "_WINDOW_EVENTS", window_events):
+            split, calls = _spectrum_by_workers(seq, lams, t, workers)
+            one_thread, _ = _spectrum_by_workers(seq, lams, t, 1)
+        hexes = [(z.real.hex(), z.imag.hex()) for z in split.tolist()]
+        assert hexes == [(z.real.hex(), z.imag.hex()) for z in one_thread.tolist()]
+        # every window hands each group to one call
+        assert sorted(calls) == sorted(groups * (len(calls) // n))
+
+
+def test_spectrum_threads_lose_no_update_under_fast_switching():
+    # more workers than cores, many windows and a thread switch about every
+    # microsecond: a lost or misordered += on a shared out[k] changes bits
+    surface = SurfaceSpec(2)
+    seq = PhaseSequence(
+        surface,
+        WindingChain(surface, (1, -1, 2, 1)),
+        CycleAssignment(surface, (0.9, 1.3, 0.4, 2.2), (1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0)),
+        300.0,
+    )
+    lams = np.linspace(-6.0, 6.0, 19)
+    with mock.patch.object(sequence, "_WINDOW_EVENTS", 8):
+        expected, _ = _spectrum_by_workers(seq, lams, 300.0, 1)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            got, calls = _spectrum_by_workers(seq, lams, 300.0, 8)
+        finally:
+            sys.setswitchinterval(interval)
+    assert len(set(calls)) == 8
+    assert [(z.real.hex(), z.imag.hex()) for z in got.tolist()] == [
+        (z.real.hex(), z.imag.hex()) for z in expected.tolist()
+    ]
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_spectrum_worker_error_propagates_and_threads_end(failing):
+    surface = SurfaceSpec(1)
+    seq = PhaseSequence(
+        surface,
+        WindingChain(surface, (1, -1)),
+        CycleAssignment(surface, (0.9, 1.3), (1.0, math.sqrt(2.0))),
+        500.0,
+    )
+    terms, failed_in = sequence._spectrum_terms, []
+
+    def failing_terms(*args):
+        if failing in args[-1]:
+            failed_in.append(threading.current_thread())
+            raise ZeroDivisionError("worker failed")
+        return terms(*args)
+
+    baseline = threading.active_count()
+    with mock.patch.object(sequence, "_usable_cpus", lambda: 3), \
+            mock.patch.object(sequence, "_WINDOW_EVENTS", 16), \
+            mock.patch.object(sequence, "_spectrum_terms", failing_terms):
+        with pytest.raises(ZeroDivisionError, match="worker failed"):
+            fourier_spectrum(seq, [0.0, 0.5, 1.0, 1.5], 400.0)
+    # group 0 runs on the calling thread, group 1 on a pool thread
+    assert len(failed_in) == 1
+    assert (failed_in[0] is threading.main_thread()) == (failing == 0)
+    assert threading.active_count() == baseline
 
 
 def _largest_running_phase(pair, t):

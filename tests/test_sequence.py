@@ -281,6 +281,16 @@ class TestFourierBohrCoefficient:
             with pytest.raises(DomainError):
                 fourier_spectrum(seq, [0.0, bad], 10.0)
 
+    def test_spectrum_rejects_two_dimensional_lambdas(self):
+        seq = make_seq(0, (), (), (), 100.0)
+        for bad in ([[0.1, 0.2]], [[0.1], [0.2]]):
+            with pytest.raises(DomainError, match="1-d"):
+                fourier_spectrum(seq, bad, 10.0)
+
+    def test_spectrum_takes_a_scalar_lambda(self):
+        seq = make_seq(1, (1, -1), (0.9, 1.3), (1.0, math.sqrt(2)), 200.0)
+        assert fourier_spectrum(seq, 0.5, 150.0).tolist() == [fourier_bohr_coefficient(seq, 0.5, 150.0)]
+
 
 class TestFindAlmostPeriods:
     def test_exact_periods_of_single_cycle(self):
@@ -390,6 +400,13 @@ class TestRandomnessBattery:
             randomness_battery(seq, 2000.0, 999, seed=0)
         with pytest.raises(DomainError):
             score_phase_samples(np.zeros(999))
+
+    def test_non_finite_samples_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            phases = np.zeros(1000)
+            phases[500] = bad
+            with pytest.raises(DomainError, match="finite"):
+                score_phase_samples(phases)
 
     def test_serial_correlation_detects_smooth_structure(self):
         # slowly wandering phases are highly serially correlated; iid phases
