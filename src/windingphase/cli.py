@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import List, Tuple
 
 import numpy as np
@@ -109,31 +110,11 @@ def _manifest_path(out_dir, subcommand):
     return os.path.join(out_dir, f"manifest_{subcommand}.json")
 
 
-def _write_manifest(manifest: RunManifest, out_dir) -> None:
-    payload = {
-        "config_digest": manifest.config_digest,
-        "version": manifest.version,
-        "subcommand": manifest.subcommand,
-        "started_at": manifest.started_at,
-        "files": [
-            {"name": f.name, "rows": f.rows, "sha256": f.sha256} for f in manifest.files
-        ],
-    }
-    with open(_manifest_path(out_dir, manifest.subcommand), "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_manifest(path) -> RunManifest:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return RunManifest(
-        config_digest=data["config_digest"],
-        version=data["version"],
-        subcommand=data["subcommand"],
-        started_at=data["started_at"],
-        files=tuple(FileRecord(f["name"], f["rows"], f["sha256"]) for f in data["files"]),
-    )
+    files = tuple(FileRecord(**f) for f in data["files"])
+    return RunManifest(**dict(data, files=files))
 
 
 def verify_manifest(manifest: RunManifest, out_dir) -> None:
@@ -147,65 +128,48 @@ def verify_manifest(manifest: RunManifest, out_dir) -> None:
             )
 
 
-def _run_generate(config, out_dir) -> List[FileRecord]:
+def _run_generate(config, out_dir):
     seq_a, seq_b = build_sequences(config)
     t0, t1 = config.resolved().event_window
     _guard_events(event_count(seq_a, t0, t1) + event_count(seq_b, t0, t1))
-    records = []
     for name, seq in (("events_a.csv", seq_a), ("events_b.csv", seq_b)):
-        path = os.path.join(out_dir, name)
-        rows = write_event_log(path, seq, t0, t1)
-        records.append(FileRecord(name, rows, _sha256_file(path)))
-    return records
+        yield name, functools.partial(write_event_log, seq=seq, t0=t0, t1=t1)
 
 
-def _run_analyze(config, out_dir) -> List[FileRecord]:
+def _run_analyze(config, out_dir):
     seq_a, seq_b = build_sequences(config)
     seq = seq_a if config.analysis_target == "a" else seq_b
+    search_bound = config.resolved().search_bound
     _guard_events(event_count(seq, 0.0, config.horizon))
-    records = []
+    # the scan's fallback grid of shifts; a subnormal step overflows it to inf
+    grid = search_bound / config.sample_step
+    _guard_events(math.floor(grid) if math.isfinite(grid) else grid)
 
-    ap = find_almost_periods(seq, config.epsilon, config.resolved().search_bound, config.sample_step)
-    path = os.path.join(out_dir, "almost_periods.csv")
-    rows = _write_table(
-        path,
-        ["tau_star", "discrepancy"],
-        [(c.shift, c.discrepancy) for c in ap.candidates],
+    ap = find_almost_periods(seq, config.epsilon, search_bound, config.sample_step)
+    yield "almost_periods.csv", functools.partial(
+        _write_table,
+        header=["tau_star", "discrepancy"],
+        rows=[(c.shift, c.discrepancy) for c in ap.candidates],
     )
-    records.append(FileRecord("almost_periods.csv", rows, _sha256_file(path)))
 
     battery = randomness_battery(seq, config.horizon, config.n_samples, seed=config.seed)
-    path = os.path.join(out_dir, "randomness.csv")
-    rows = _write_table(
-        path,
-        [
-            "monobit_p",
-            "serial_correlation_re",
-            "serial_correlation_im",
-            "permutation_entropy",
-            "sample_count",
-        ],
-        [
-            (
-                battery.monobit_p,
-                battery.serial_correlation.real,
-                battery.serial_correlation.imag,
-                battery.permutation_entropy,
-                battery.sample_count,
-            )
-        ],
+    yield "randomness.csv", functools.partial(
+        _write_table,
+        header=["monobit_p", "serial_correlation_re", "serial_correlation_im",
+                "permutation_entropy", "sample_count"],
+        rows=[(battery.monobit_p, battery.serial_correlation.real,
+               battery.serial_correlation.imag, battery.permutation_entropy,
+               battery.sample_count)],
     )
-    records.append(FileRecord("randomness.csv", rows, _sha256_file(path)))
 
     lambdas = np.linspace(0.0, config.spectrum_lambda_max, config.spectrum_lambda_count)
     spectrum_rows = [
         (float(lam), c.real, c.imag, abs(c), math.atan2(c.imag, c.real))
         for lam, c in zip(lambdas, fourier_spectrum(seq, lambdas, config.horizon).tolist())
     ]
-    path = os.path.join(out_dir, "spectrum.csv")
-    rows = _write_table(path, ["lambda", "re", "im", "magnitude", "angle"], spectrum_rows)
-    records.append(FileRecord("spectrum.csv", rows, _sha256_file(path)))
-    return records
+    yield "spectrum.csv", functools.partial(
+        _write_table, header=["lambda", "re", "im", "magnitude", "angle"], rows=spectrum_rows
+    )
 
 
 def _guard_pair(config, t):
@@ -216,44 +180,37 @@ def _guard_pair(config, t):
     return pair
 
 
-def _run_correlate(config, out_dir) -> List[FileRecord]:
+def _run_correlate(config, out_dir):
     t = config.resolved().correlation_time
     pair = _guard_pair(config, t)
     n = config.angle_grid_size
     thetas = [2.0 * math.pi * k / n for k in range(n)]
     grid = correlations(pair, [(ta, tb) for ta in thetas for tb in thetas], t)
-    rows_out = [(e.theta_a, e.theta_b, t, e.value, e.residual, e.segment_count) for e in grid]
-    path = os.path.join(out_dir, "correlate.csv")
-    rows = _write_table(
-        path, ["theta_a", "theta_b", "t", "E", "residual", "segments"], rows_out
+    yield "correlate.csv", functools.partial(
+        _write_table,
+        header=["theta_a", "theta_b", "t", "E", "residual", "segments"],
+        rows=[(e.theta_a, e.theta_b, t, e.value, e.residual, e.segment_count) for e in grid],
     )
-    return [FileRecord("correlate.csv", rows, _sha256_file(path))]
 
 
-def _run_residual(config, out_dir) -> List[FileRecord]:
+def _run_residual(config, out_dir):
     horizons = config.resolved().residual_horizons
     pair = _guard_pair(config, horizons[-1])
-    curve = residual_curve(
-        pair, config.residual_theta_a, config.residual_theta_b, horizons
-    )
-    path = os.path.join(out_dir, "residual.csv")
-    rows = _write_table(path, ["t", "residual"], curve)
-    return [FileRecord("residual.csv", rows, _sha256_file(path))]
+    curve = residual_curve(pair, config.residual_theta_a, config.residual_theta_b, horizons)
+    yield "residual.csv", functools.partial(_write_table, header=["t", "residual"], rows=curve)
 
 
-def _run_chsh(config, out_dir) -> List[FileRecord]:
+def _run_chsh(config, out_dir):
     t = config.resolved().correlation_time
     pair = _guard_pair(config, t)
     a1, a2, b1, b2 = config.chsh_angles
     result = chsh(pair, a1, a2, b1, b2, t)
     e11, e12, e21, e22 = (e.value for e in result.estimates)
-    path = os.path.join(out_dir, "chsh.csv")
-    rows = _write_table(
-        path,
-        ["a1", "a2", "b1", "b2", "t", "e_a1b1", "e_a1b2", "e_a2b1", "e_a2b2", "s"],
-        [(a1, a2, b1, b2, t, e11, e12, e21, e22, result.s)],
+    yield "chsh.csv", functools.partial(
+        _write_table,
+        header=["a1", "a2", "b1", "b2", "t", "e_a1b1", "e_a1b2", "e_a2b1", "e_a2b2", "s"],
+        rows=[(a1, a2, b1, b2, t, e11, e12, e21, e22, result.s)],
     )
-    return [FileRecord("chsh.csv", rows, _sha256_file(path))]
 
 
 def _read_csv(path):
@@ -261,7 +218,13 @@ def _read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def _run_report(config, out_dir) -> List[FileRecord]:
+def _write_lines(path, lines) -> int:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines))
+    return len(lines)
+
+
+def _run_report(config, out_dir):
     digest = config_digest(config)
     lines = ["experiment summary", f"config digest: {digest}", ""]
     found = False
@@ -269,10 +232,11 @@ def _run_report(config, out_dir) -> List[FileRecord]:
         mpath = _manifest_path(out_dir, name)
         if summarize is None or not os.path.exists(mpath):
             continue
-        manifest = load_manifest(mpath)
         try:
+            manifest = load_manifest(mpath)
             verify_manifest(manifest, out_dir)
-        except ValueError as exc:
+        except (ValueError, KeyError, TypeError) as exc:
+            # unreadable JSON, a missing key or a mistyped value, or a bad digest
             raise OSError(f"output integrity check failed: {exc}") from exc
         if manifest.config_digest != digest:
             raise ConfigError(
@@ -288,14 +252,7 @@ def _run_report(config, out_dir) -> List[FileRecord]:
     if not found:
         lines.append("no prior subcommand outputs found in this directory")
         lines.append("")
-    path = os.path.join(out_dir, "summary.txt")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines))
-    return [FileRecord("summary.txt", len(lines), _sha256_file(path))]
-
-
-def _summarize_generate(out_dir) -> List[str]:
-    return []
+    yield "summary.txt", functools.partial(_write_lines, lines=lines)
 
 
 def _summarize_analyze(out_dir) -> List[str]:
@@ -346,10 +303,11 @@ def _summarize_chsh(out_dir) -> List[str]:
     ]
 
 
-# name -> (help, runner, summary of its tables for report); report lists the
-# outputs of every subcommand with a summary, in this order
+# name -> (help, runner, summary of its tables for report).  A runner yields
+# (file name, writer) pairs; a writer takes a path and returns a row count.
+# report lists the outputs of every subcommand with a summary, in this order
 SUBCOMMANDS = {
-    "generate": ("write event logs for both sequences", _run_generate, _summarize_generate),
+    "generate": ("write event logs for both sequences", _run_generate, lambda out_dir: []),
     "analyze": ("almost-period, randomness, and spectrum tables", _run_analyze, _summarize_analyze),
     "correlate": ("correlation E over a uniform angle grid", _run_correlate, _summarize_correlate),
     "residual": ("residual convergence curve over horizons", _run_residual, _summarize_residual),
@@ -371,7 +329,10 @@ def run_subcommand(config: ExperimentConfig, name: str) -> RunManifest:
     started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     os.makedirs(out_dir, exist_ok=True)
     _, run, _ = SUBCOMMANDS[name]
-    files = run(config, out_dir)
+    files = []
+    for file_name, write in run(config, out_dir):
+        path = os.path.join(out_dir, file_name)
+        files.append(FileRecord(file_name, write(path), _sha256_file(path)))
     manifest = RunManifest(
         config_digest=config_digest(config),
         version=__version__,
@@ -379,7 +340,9 @@ def run_subcommand(config: ExperimentConfig, name: str) -> RunManifest:
         started_at=started_at,
         files=tuple(files),
     )
-    _write_manifest(manifest, out_dir)
+    with open(_manifest_path(out_dir, name), "w", encoding="utf-8", newline="") as fh:
+        json.dump(asdict(manifest), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return manifest
 
 

@@ -340,6 +340,8 @@ def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
     lams = np.atleast_1d(lams)
     if not np.all(np.isfinite(lams)):
         raise DomainError("every lam must be finite")
+    if lams.size == 0:
+        return np.zeros(0, dtype=complex)
     out = np.zeros(lams.size, dtype=complex)
     n = max(1, min(lams.size, _usable_cpus()))
     groups = [range(w, lams.size, n) for w in range(n)]

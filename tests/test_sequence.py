@@ -21,6 +21,7 @@ from windingphase import (
     phase_at_many,
     randomness_battery,
     score_phase_samples,
+    sequence,
     wrap_angle,
 )
 from windingphase.topology import _dot_mod_2pi
@@ -290,6 +291,21 @@ class TestFourierBohrCoefficient:
     def test_spectrum_takes_a_scalar_lambda(self):
         seq = make_seq(1, (1, -1), (0.9, 1.3), (1.0, math.sqrt(2)), 200.0)
         assert fourier_spectrum(seq, 0.5, 150.0).tolist() == [fourier_bohr_coefficient(seq, 0.5, 150.0)]
+
+    def test_empty_spectrum_walks_no_window(self, monkeypatch):
+        seq = make_seq(1, (1, -1), (0.9, 1.3), (1.0, math.sqrt(2)), 200.0)
+
+        def no_windows(*args, **kwargs):
+            raise AssertionError("an empty spectrum needs no window")
+
+        monkeypatch.setattr(sequence, "_windows", no_windows)
+        empty = fourier_spectrum(seq, [], 150.0)
+        assert empty.dtype == complex and empty.shape == (0,)
+        for bad_t in (0.0, 250.0, math.nan):
+            with pytest.raises(DomainError):
+                fourier_spectrum(seq, [], bad_t)
+        with pytest.raises(DomainError, match="1-d"):
+            fourier_spectrum(seq, [[]], 150.0)
 
 
 class TestFindAlmostPeriods:
