@@ -219,9 +219,11 @@ def _read_csv(path):
 
 
 def _write_lines(path, lines) -> int:
+    """Write ``lines`` joined by newlines; returns the file's newline count (``wc -l``)."""
+    text = "\n".join(lines)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines))
-    return len(lines)
+        fh.write(text)
+    return text.count("\n")
 
 
 def _run_report(config, out_dir):

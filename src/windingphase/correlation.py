@@ -13,15 +13,17 @@ where M2(t) = (1/t) * integral_0^t e^{2 i gamma} is summed exactly over the
 constant segments of gamma.  The second term, the residual, vanishes as t
 grows whenever 2*gamma equidistributes mod 2*pi.
 
-M2 is the one costly quantity and does not depend on the angles, so
-``correlation``, ``correlations`` and ``chsh`` read it from a bounded memo
-(least recently used, 256 entries).  An entry is keyed on the exact bits M2
-is computed from: the doubled difference chain's integer coefficients, the
+M2 and the segment count are the costly quantities and do not depend on the
+angles, so ``correlation``, ``correlations`` and ``chsh`` read them from a
+bounded memo (least recently used, 256 entries).  An entry is keyed on the
+exact bits of the pair and t: both chains' integer coefficients, the
 ``float.hex`` of every beta, period and of t, and ``sequence._WINDOW_EVENTS``
-(the window size, which sets where the sum is cut).  A settings sweep at one
-(pair, t) therefore sums the windows once, and every result has the bits of
-a fresh ``bohr_mean``.  ``residual_curve`` cuts its windows at its own
-horizons and keeps its own pass.
+(the window size, which sets where the sum is cut).  It holds (M2, segment
+count), so a hit builds no sequence and counts no event.  A settings sweep at
+one (pair, t) therefore sums the windows once, and every result has the bits
+of a fresh ``bohr_mean``.  ``residual_curve`` cuts its windows at its own
+horizons and keeps its own pass.  Both sum the windows on every usable CPU
+(see ``sequence._window_sums``), with the bits of a one-thread pass.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ from .errors import DimensionError, DomainError
 from .sequence import (
     PhaseSequence,
     _check_time,
-    _segment_sum,
-    _windows,
+    _window_sums,
     bohr_mean,
     event_count,
     phase_at,
@@ -117,21 +118,23 @@ def _doubled(seq: PhaseSequence) -> PhaseSequence:
 
 
 class _MomentKey:
-    """A checked (sequence, t) that hashes and compares by the bits bohr_mean sums from.
+    """A checked (pair, t) that hashes and compares by the bits M2 and the segment count come from.
 
-    Equal keys have equal coefficients, equal float bit patterns and the same
-    window size, so bohr_mean returns the same bits for both; a -0.0 and a
-    0.0 beta make different keys.
+    Equal keys have equal chains, equal float bit patterns and the same
+    window size, so bohr_mean and event_count return the same results for
+    both; a -0.0 and a 0.0 beta make different keys.
     """
 
-    __slots__ = ("seq", "t", "bits")
+    __slots__ = ("pair", "t", "bits")
 
-    def __init__(self, seq: PhaseSequence, t: float):
-        self.seq, self.t = seq, t
+    def __init__(self, pair: PairConfig, t: float):
+        a, b = pair.sequence_a, pair.sequence_b
+        self.pair, self.t = pair, t
         self.bits = (
-            seq.chain.coefficients,
-            tuple(map(float.hex, seq.assignment.betas)),
-            tuple(map(float.hex, seq.assignment.periods)),
+            a.chain.coefficients,
+            b.chain.coefficients,
+            tuple(map(float.hex, a.assignment.betas)),
+            tuple(map(float.hex, a.assignment.periods)),
             t.hex(),
             sequence._WINDOW_EVENTS,
         )
@@ -144,8 +147,11 @@ class _MomentKey:
 
 
 @functools.lru_cache(maxsize=256)
-def _memo_moment(key: _MomentKey) -> complex:
-    return bohr_mean(key.seq, key.t)
+def _memo_moment(key: _MomentKey) -> Tuple[complex, int]:
+    """(M2(t), segment count) of the key's pair."""
+    pair, t = key.pair, key.t
+    segments = event_count(pair.sequence_a, 0.0, t) + event_count(pair.sequence_b, 0.0, t) + 1
+    return bohr_mean(_doubled(pair.difference), t), segments
 
 
 def _check_angles(angles) -> None:
@@ -158,8 +164,7 @@ def correlations(pair: PairConfig, settings, t: float) -> Tuple[CorrelationEstim
     settings = [(float(ta), float(tb)) for ta, tb in settings]
     _check_angles(a for setting in settings for a in setting)
     t = _check_time(pair.sequence_a, t)
-    m2 = _memo_moment(_MomentKey(_doubled(pair.difference), t))
-    segments = event_count(pair.sequence_a, 0.0, t) + event_count(pair.sequence_b, 0.0, t) + 1
+    m2, segments = _memo_moment(_MomentKey(pair, t))
     out = []
     for ta, tb in settings:
         residual = (cmath.exp(1j * (ta - tb)) * m2).real
@@ -201,9 +206,9 @@ def residual_curve(
     rotation = cmath.exp(1j * (theta_a - theta_b))
     integral = 0j
     out = []
-    for bounds, factors in _windows(_doubled(pair.difference), hs[-1], hs):
-        integral += complex(_segment_sum(bounds, factors))
-        while len(out) < len(hs) and hs[len(out)] == bounds[-1]:
+    for end, window in zip(*_window_sums(_doubled(pair.difference), hs[-1], hs)):
+        integral += complex(window)
+        while len(out) < len(hs) and hs[len(out)] == end:
             t = hs[len(out)]
             out.append((t, (rotation * integral).real / t))
     return out

@@ -10,6 +10,16 @@ is piecewise constant, right-continuous, and starts at Phi(0) = 0.  With
 pairwise incommensurable periods the superposition is an almost-periodic
 sequence; this module provides the generator plus the analysis battery
 (Bohr means, Fourier coefficients, almost-period search, randomness scores).
+
+The reductions over [0, t] (Bohr mean, Fourier spectrum, and the correlation
+moment and residual curve built on them) sum the constant segments window by
+window, each window holding about ``_WINDOW_EVENTS`` events and starting from
+the phase of its integer winding counts reduced exactly mod 2*pi.  A window's
+sum depends on nothing outside it, so ``bohr_mean`` and the residual curve
+sum the windows on one thread per usable CPU, each thread taking the next
+window not yet taken into buffers of its own, and fold the window sums in
+window order; the Fourier spectrum splits its lams over the threads instead.
+Either way every result has the bits of a one-thread pass.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ import contextlib
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -117,24 +128,25 @@ def event_count(seq: PhaseSequence, t0: float = 0.0, t1: float = None) -> int:
     return int(np.sum(n1 - n0))
 
 
-def _merged_progressions(periods, n0, n1):
-    """Event times of every cycle in one window, and the order that merges them.
+def _merged_progressions(periods, n0, n1, iota, times):
+    """Write every cycle's event times in one window and return (order, counts).
 
-    Cycle k fires at (n0[k] + 1) * T_k, ..., n1[k] * T_k.  Returns (times,
-    order, counts): ``times`` holds these arithmetic progressions block by
-    block in cycle order, ``order`` is the stable argsort that merges them
-    (so simultaneous events stay in cycle order) and ``counts[k]`` is the
-    number of events of cycle k.  Times are n * T from integer n, never
-    repeated additions, so they carry no accumulated drift.
+    Cycle k fires at (n0[k] + 1) * T_k, ..., n1[k] * T_k.  These arithmetic
+    progressions are written block by block in cycle order to the front of
+    ``times``, from ``iota`` = 0, 1, 2, ... (at least as long as any one
+    cycle's count); ``order`` is the stable argsort that merges them (so
+    simultaneous events stay in cycle order) and ``counts[k]`` is the number
+    of events of cycle k.  Times are n * T from integer n, never repeated
+    additions, so they carry no accumulated drift.
     """
     counts = n1 - n0
-    ends = np.cumsum(counts)
-    times = np.arange(int(counts.sum()), dtype=float)
-    for k in range(counts.size):
-        block = times[ends[k] - counts[k] : ends[k]]
-        block += n0[k] + 1 - (ends[k] - counts[k])
+    end = 0
+    for k, count in enumerate(counts.tolist()):
+        block = times[end : end + count]
+        np.add(iota[:count], n0[k] + 1, out=block)
         block *= periods[k]
-    return times, np.argsort(times, kind="stable"), counts
+        end += count
+    return np.argsort(times[:end], kind="stable"), counts
 
 
 def event_arrays(seq: PhaseSequence, t0: float, t1: float):
@@ -147,7 +159,10 @@ def event_arrays(seq: PhaseSequence, t0: float, t1: float):
     t0, t1 = _check_window(seq, t0, t1)
     idx, periods, increments = seq._active_arrays()
     n0, n1 = _completed_windings([t0, t1], periods)
-    times, order, counts = _merged_progressions(periods, n0, n1)
+    counts = n1 - n0
+    times = np.empty(int(counts.sum()))
+    iota = np.arange(int(counts.max(initial=0)), dtype=float)
+    order, _ = _merged_progressions(periods, n0, n1, iota, times)
     cycles = np.repeat(idx, counts)
     incs = np.repeat(increments, counts)
     return times[order], cycles[order], incs[order]
@@ -216,48 +231,166 @@ def _window_cuts(periods, t0: float, t1: float, edges=()) -> np.ndarray:
     return np.unique(np.concatenate((np.linspace(t0, t1, n + 1), edges)))
 
 
-def _windows(seq: PhaseSequence, t: float, edges=()):
-    """Yield (bounds, factors) for consecutive windows tiling [0, t].
+class _Windows:
+    """The windows tiling [0, t], with what each needs besides its events.
 
     Windows hold about _WINDOW_EVENTS events each and also end at every time
-    in ``edges``.  ``bounds`` starts at the window's start, lists its event
-    times and ends at its end; ``factors[k]`` is e^{i Phi} on
-    [bounds[k], bounds[k+1]).  Each window starts from the phase of its
-    integer winding counts reduced exactly mod 2*pi, so rounding does not
-    grow with t.  Every window is written into the same buffers: use (or
-    overwrite) its arrays before asking for the next one.
+    in ``edges``: window j runs from ``cuts[j]`` to ``cuts[j + 1]`` and
+    starts from the phase ``starts[j]`` of its integer winding counts reduced
+    exactly mod 2*pi, so rounding does not grow with t.  ``build`` writes a
+    window into a set of ``buffers``; threads with buffers of their own may
+    build windows at once.
     """
-    _, periods, increments = seq._active_arrays()
-    cuts = _window_cuts(periods, 0.0, t, edges)
-    counts = _completed_windings(cuts, periods)
-    most = int(np.max(np.sum(np.diff(counts, axis=0), axis=1)))
-    bounds_buf, phases_buf = np.empty(most + 2), np.empty(most + 1)
-    factors_buf = np.empty(most + 1, dtype=complex)
-    for j, start in enumerate(_exact_phases(seq, counts[:-1])):
-        times, order, per_cycle = _merged_progressions(periods, counts[j], counts[j + 1])
+
+    def __init__(self, seq: PhaseSequence, t: float, edges=()):
+        _, self.periods, self.increments = seq._active_arrays()
+        self.cuts = _window_cuts(self.periods, 0.0, t, edges)
+        self.counts = _completed_windings(self.cuts, self.periods)
+        self.starts = _exact_phases(seq, self.counts[:-1])
+        self.most = int(np.max(np.sum(np.diff(self.counts, axis=0), axis=1)))
+        self.iota = np.arange(self.most, dtype=float)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def buffers(self):
+        """(scratch, bounds, phases, factors) buffers, large enough for any window."""
+        most = self.most
+        return (
+            np.empty(most + 1),
+            np.empty(most + 2),
+            np.empty(most + 1),
+            np.empty(most + 1, dtype=complex),
+        )
+
+    def build(self, j, buffers):
+        """(bounds, factors) of window j, written into ``buffers``.
+
+        ``bounds`` starts at the window's start, lists its event times and
+        ends at its end; ``factors[k]`` is e^{i Phi} on [bounds[k],
+        bounds[k+1]).  Both are views of the buffers: use (or overwrite) them
+        before building another window into the same buffers.  The scratch
+        buffer holds first the event times and then the increments, and is
+        free again on return, so a window allocates only its merge order.
+        """
+        scratch, bounds_buf, phases_buf, factors_buf = buffers
+        order, per_cycle = _merged_progressions(
+            self.periods, self.counts[j], self.counts[j + 1], self.iota, scratch
+        )
         # order holds valid indices; mode "raise" would copy through a buffer
         bounds = bounds_buf[: order.size + 2]
-        bounds[0], bounds[-1] = cuts[j], cuts[j + 1]
-        np.take(times, order, out=bounds[1:-1], mode="wrap")
+        bounds[0], bounds[-1] = self.cuts[j], self.cuts[j + 1]
+        np.take(scratch, order, out=bounds[1:-1], mode="wrap")
+        # each cycle's increment over its block: np.repeat(increments, per_cycle)
+        end = 0
+        for inc, count in zip(self.increments.tolist(), per_cycle.tolist()):
+            scratch[end : end + count] = inc
+            end += count
         # start, then start + the running sum of the increments in time order
         phases = phases_buf[: order.size + 1]
-        phases[0] = start
-        np.take(np.repeat(increments, per_cycle), order, out=phases[1:], mode="wrap")
+        phases[0] = self.starts[j]
+        np.take(scratch, order, out=phases[1:], mode="wrap")
         np.cumsum(phases[1:], out=phases[1:])
-        phases[1:] += start
-        yield bounds, _unit_phasors(phases, factors_buf[: order.size + 1])
+        phases[1:] += self.starts[j]
+        return bounds, _unit_phasors(phases, factors_buf[: order.size + 1])
+
+    def sums(self, js) -> dict:
+        """{j: segment sum of window j} for every j that ``js`` yields."""
+        buffers = self.buffers()
+        return {j: _segment_sum(*self.build(j, buffers), buffers[0]) for j in js}
 
 
-def _segment_sum(bounds, factors) -> np.complex128:
+def _windows(seq: PhaseSequence, t: float, edges=()):
+    """Yield (bounds, factors) for consecutive windows tiling [0, t]; see _Windows.
+
+    Every window is written into the same buffers: use (or overwrite) its
+    arrays before asking for the next one.
+    """
+    windows = _Windows(seq, t, edges)
+    buffers = windows.buffers()
+    for j in range(len(windows)):
+        yield windows.build(j, buffers)
+
+
+def _segment_sum(bounds, factors, width) -> np.complex128:
     """np.sum(factors * np.diff(bounds)), the same bits, scaling ``factors`` in place.
 
-    Each product is the one the complex multiply rounds to (up to the sign
-    of a zero), and the sum runs over the same contiguous layout.
+    ``width`` is scratch space at least ``factors.size`` long.  Each product
+    is the one the complex multiply rounds to (up to the sign of a zero),
+    and the sum runs over the same contiguous layout.
     """
-    width = np.diff(bounds)
+    width = width[: factors.size]
+    np.subtract(bounds[1:], bounds[:-1], out=width)
     factors.real *= width
     factors.imag *= width
     return np.sum(factors)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _thread_split(n: int):
+    """Yield ``split(calls)``, which returns [call() for call in calls].
+
+    ``split`` makes the first call on this thread and the others at the same
+    time on a pool of n - 1 threads that lasts as long as the with-block;
+    with n = 1 there is no pool and every call runs here.  An error of any
+    call is raised by ``split``, and the pool's threads have ended before
+    the with-block is left.  The calls must share nothing they write, and
+    call no function that perfbench/spans.py wraps: its span stack belongs
+    to one thread.
+    """
+    if n <= 1:
+        yield lambda calls: [call() for call in calls]
+        return
+    # imported here, so only a split over several threads loads it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(n - 1) as pool:
+
+        def split(calls):
+            others = [pool.submit(call) for call in calls[1:]]
+            first = calls[0]()
+            return [first] + [other.result() for other in others]
+
+        yield split
+
+
+def _window_sums(seq: PhaseSequence, t: float, edges=()):
+    """(ends, sums): the end time and the segment sum of every window of [0, t].
+
+    n = min(window count, usable CPUs) threads sum the windows, this one and
+    a pool of n - 1, each in buffers of its own.  Every thread takes the
+    next window that no thread has taken, so a thread that the OS (or a
+    hypervisor) holds back delays the others by at most the window it is
+    on, not by a fixed share.  A window is summed by the same steps whichever
+    thread sums it, so folding ``sums`` in order gives the bits of a
+    one-thread pass.
+    """
+    windows = _Windows(seq, t, edges)
+    m = len(windows)
+    lock, untaken = threading.Lock(), iter(range(m))
+
+    def take():
+        while True:
+            with lock:
+                j = next(untaken, None)
+            if j is None:
+                return
+            yield j
+
+    n = max(1, min(m, _usable_cpus()))
+    with _thread_split(n) as split:
+        parts = split([functools.partial(windows.sums, take()) for _ in range(n)])
+    sums = {}
+    for part in parts:
+        sums.update(part)
+    return windows.cuts[1:].tolist(), [sums[j] for j in range(m)]
 
 
 def _check_time(seq: PhaseSequence, t: float) -> float:
@@ -272,22 +405,15 @@ def bohr_mean(seq: PhaseSequence, t: float) -> complex:
 
     Computed exactly as a sum over the constant segments between events, so
     there is no sampling step to tune.  The segments are summed window by
-    window (see _windows), so memory stays bounded and accuracy does not
-    degrade as t grows.  The magnitude is always <= 1 and equals 1 only for a
-    phase constant on [0, t].
+    window, the windows split over the usable CPUs (see _window_sums), so
+    memory stays bounded and accuracy does not degrade as t grows.  The
+    magnitude is always <= 1 and equals 1 only for a phase constant on [0, t].
     """
     t = _check_time(seq, t)
     total = 0j
-    for bounds, factors in _windows(seq, t):
-        total += _segment_sum(bounds, factors)
+    for window in _window_sums(seq, t)[1]:
+        total += window
     return complex(total / t)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS reports one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _spectrum_terms(lams, out, bounds, factors, width, centers, ks) -> None:
@@ -345,22 +471,13 @@ def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
     out = np.zeros(lams.size, dtype=complex)
     n = max(1, min(lams.size, _usable_cpus()))
     groups = [range(w, lams.size, n) for w in range(n)]
-    pool = contextlib.nullcontext()  # one group: it runs here, with no pool
-    if n > 1:
-        # imported here, so only a spectrum of several lams loads it
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(n - 1)
-    with pool:
+    with _thread_split(n) as split:
         for bounds, factors in _windows(seq, t):
             width = np.diff(bounds)
             centers = bounds[:-1] + bounds[1:]
             terms = functools.partial(_spectrum_terms, lams, out, bounds, factors, width, centers)
-            others = [pool.submit(terms, ks) for ks in groups[1:]]
-            terms(groups[0])
             # every group ends before _windows reuses its buffers
-            for other in others:
-                other.result()
+            split([functools.partial(terms, ks) for ks in groups])
     return out / t
 
 

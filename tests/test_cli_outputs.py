@@ -25,8 +25,8 @@ def test_manifest_layout_and_row_counts(tmp_path):
             assert set(record) == {"name", "rows", "sha256"}
             body = (out / record["name"]).read_text(encoding="utf-8")
             if record["name"] == "summary.txt":
-                # every "\n"-separated line, the empty one after the last newline too
-                assert record["rows"] == len(body.split("\n"))
+                # its lines as wc -l counts them: one per newline
+                assert record["rows"] == body.count("\n")
             else:
                 assert record["rows"] == len(body.splitlines()) - 1  # less the header
 

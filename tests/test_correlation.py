@@ -416,6 +416,54 @@ class TestMomentMemo:
         assert len(sums) == 6
         assert corr._memo_moment.cache_info().currsize == 6
 
+    def test_a_hit_builds_no_sequence_and_counts_no_event(self, monkeypatch, canonical_pair, sums):
+        built, counted = [], []
+        post_init, event_count = PhaseSequence.__post_init__, corr.event_count
+
+        def counting_post_init(seq):
+            built.append(seq)
+            post_init(seq)
+
+        def counting_event_count(*args):
+            counted.append(args)
+            return event_count(*args)
+
+        monkeypatch.setattr(PhaseSequence, "__post_init__", counting_post_init)
+        monkeypatch.setattr(corr, "event_count", counting_event_count)
+        cold = correlation(canonical_pair, 0.1, 0.2, 1500.0)
+        assert built and len(counted) == 2
+        built.clear(), counted.clear()
+        warm = [correlation(canonical_pair, 0.1, 0.2, 1500.0)]
+        warm += corr.correlations(canonical_pair, [(0.1, 0.2), (0.5, -0.3)], 1500.0)
+        warm += chsh(canonical_pair, 0.1, 0.5, 0.2, -0.3, 1500.0).estimates
+        assert (built, counted) == ([], [])
+        assert sums == [1500.0]
+        assert warm[0] == warm[1] == warm[3] == cold
+        assert {e.segment_count for e in warm} == {cold.segment_count}
+
+    def test_each_pair_of_chains_gets_its_own_entry(self, sums):
+        betas, periods = (1.0, 2.0), (1.0, math.sqrt(2.0))
+        chains = (
+            ((1, 0), (0, 1)),
+            ((1, 1), (0, 2)),  # the same difference (-1, 1) from other chains
+            ((2, 0), (1, 1)),
+            ((1, 0), (1, 1)),  # the first pair's chain_a with another chain_b
+            ((0, 0), (0, 1)),  # the first pair's chain_b with another chain_a
+        )
+        pairs = [make_pair(1, a, b, betas, periods, 100.0) for a, b in chains]
+        estimates = [correlation(p, 0.1, 0.2, 50.0) for p in pairs]
+        assert corr._memo_moment.cache_info().currsize == len(pairs) == len(sums)
+        for p, est in zip(pairs, estimates):
+            want = expected_estimate(p, 0.1, 0.2, 50.0, fresh_moment(p, 50.0))
+            assert hex_pair(est.value, est.residual) == hex_pair(*want)
+            assert est.segment_count == (
+                corr.event_count(p.sequence_a, 0.0, 50.0)
+                + corr.event_count(p.sequence_b, 0.0, 50.0)
+                + 1
+            )
+            assert correlation(p, 0.1, 0.2, 50.0) == est  # a hit keeps its own entry
+        assert len({est.segment_count for est in estimates[:3]}) == 3
+
     def test_invalid_t_raises_every_time_and_is_not_cached(self, canonical_pair, sums):
         for t in (0.0, -1.0, math.nan, 2001.0, 0.0):
             with pytest.raises(DomainError):

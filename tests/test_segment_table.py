@@ -1,5 +1,6 @@
 """Properties of the windowed and one-table reductions against the slow routes in oracles.py."""
 
+import importlib
 import itertools
 import math
 import sys
@@ -29,12 +30,16 @@ from windingphase import (
     bohr_mean,
     chsh,
     correlation,
+    correlations,
     event_count,
     find_almost_periods,
     fourier_spectrum,
     residual_curve,
     sequence,
 )
+
+# The package exports the function ``correlation`` under the module's name.
+corr = importlib.import_module("windingphase.correlation")
 
 TWO_PI = 2.0 * math.pi
 
@@ -251,6 +256,143 @@ def test_spectrum_worker_error_propagates_and_threads_end(failing):
         with pytest.raises(ZeroDivisionError, match="worker failed"):
             fourier_spectrum(seq, [0.0, 0.5, 1.0, 1.5], 400.0)
     # group 0 runs on the calling thread, group 1 on a pool thread
+    assert len(failed_in) == 1
+    assert (failed_in[0] is threading.main_thread()) == (failing == 0)
+    assert threading.active_count() == baseline
+
+
+def _window_sums_by_workers(reduce, workers):
+    """reduce() with ``workers`` usable CPUs, and the windows each sums call took, by thread."""
+    runs = []
+    sums = sequence._Windows.sums
+
+    def recording_sums(self, js):
+        part = sums(self, js)
+        runs.append((sorted(part), threading.current_thread()))
+        return part
+
+    with mock.patch.object(sequence, "_usable_cpus", lambda: workers), \
+            mock.patch.object(sequence._Windows, "sums", recording_sums):
+        return reduce(), runs
+
+
+def _hexes(values):
+    return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
+
+
+def _genus1_seq():
+    surface = SurfaceSpec(1)
+    return PhaseSequence(
+        surface,
+        WindingChain(surface, (1, -1)),
+        CycleAssignment(surface, (0.9, 1.3), (1.0, math.sqrt(2.0))),
+        500.0,
+    )
+
+
+@PROPERTY
+@given(data=st.data(), pair=pairs(), window_events=st.integers(1, 64))
+def test_window_sums_are_bit_identical_for_every_worker_count(data, pair, window_events):
+    seq = data.draw(st.sampled_from([pair.sequence_a, pair.sequence_b, pair.difference]))
+    t = data.draw(st.floats(0.5, pair.horizon))
+    horizons = sorted(data.draw(st.lists(st.floats(0.5, pair.horizon), min_size=1, max_size=4)))
+    a1, a2, b1, b2 = (data.draw(st.floats(-10.0, 10.0)) for _ in range(4))
+    settings_ = [(a1, b1), (a1, b2), (a2, b1), (a2, b2)]
+
+    def reductions():
+        corr._memo_moment.cache_clear()
+        cold = correlations(pair, settings_, t)  # sums M2 on the workers
+        warm = chsh(pair, a1, a2, b1, b2, t)  # reads the memo
+        assert warm.estimates == cold
+        curve = residual_curve(pair, a1, b1, horizons)
+        mean = bohr_mean(seq, t)  # last, so its sums calls end the list
+        return (
+            _hexes([mean]),
+            _hexes([e.value for e in cold] + [e.residual for e in cold] + [warm.s]),
+            [(h, r.hex()) for h, r in curve],
+            [e.segment_count for e in cold],
+        )
+
+    with mock.patch.object(sequence, "_WINDOW_EVENTS", window_events):
+        windows = len(sequence._Windows(seq, t))
+        one_thread, runs = _window_sums_by_workers(reductions, 1)
+        assert {thread for _, thread in runs} == {threading.main_thread()}
+        for workers in (2, 3, 4):
+            got, runs = _window_sums_by_workers(reductions, workers)
+            assert got == one_thread
+            # bohr_mean: n threads, this one among them, took every window once
+            n = min(windows, workers)
+            assert sorted(j for js, _ in runs[-n:] for j in js) == list(range(windows))
+            assert threading.main_thread() in {thread for _, thread in runs[-n:]}
+    corr._memo_moment.cache_clear()
+
+
+def test_window_sums_keep_their_bits_under_fast_switching():
+    # more workers than cores, many windows and a thread switch about every
+    # microsecond: a window built in another thread's buffers changes bits
+    surface = SurfaceSpec(2)
+    seq = PhaseSequence(
+        surface,
+        WindingChain(surface, (1, -1, 2, 1)),
+        CycleAssignment(surface, (0.9, 1.3, 0.4, 2.2), (1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0)),
+        300.0,
+    )
+    with mock.patch.object(sequence, "_WINDOW_EVENTS", 8):
+        windows = len(sequence._Windows(seq, 300.0))
+        expected, _ = _window_sums_by_workers(lambda: bohr_mean(seq, 300.0), 1)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            got, runs = _window_sums_by_workers(lambda: bohr_mean(seq, 300.0), 8)
+        finally:
+            sys.setswitchinterval(interval)
+    assert len(runs) == 8
+    assert sorted(j for js, _ in runs for j in js) == list(range(windows))
+    assert _hexes([got]) == _hexes([expected])
+
+
+def test_a_held_back_worker_leaves_its_windows_to_the_caller():
+    seq, caller_done = _genus1_seq(), threading.Event()
+    sums, runs = sequence._Windows.sums, []
+
+    def held_back_sums(self, js):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if not on_caller:
+            assert caller_done.wait(timeout=60.0)
+        part = sums(self, js)
+        runs.append((sorted(part), on_caller))
+        caller_done.set()
+        return part
+
+    with mock.patch.object(sequence, "_WINDOW_EVENTS", 16):
+        windows = len(sequence._Windows(seq, 400.0))
+        with mock.patch.object(sequence, "_usable_cpus", lambda: 1):
+            expected = bohr_mean(seq, 400.0)
+        with mock.patch.object(sequence, "_usable_cpus", lambda: 2), \
+                mock.patch.object(sequence._Windows, "sums", held_back_sums):
+            got = bohr_mean(seq, 400.0)
+    assert windows > 1
+    assert runs == [(list(range(windows)), True), ([], False)]
+    assert _hexes([got]) == _hexes([expected])
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_window_worker_error_propagates_and_threads_end(failing):
+    seq, sums, failed_in = _genus1_seq(), sequence._Windows.sums, []
+
+    def failing_sums(self, js):
+        if (threading.current_thread() is threading.main_thread()) == (failing == 0):
+            failed_in.append(threading.current_thread())
+            raise ZeroDivisionError("worker failed")
+        return sums(self, js)
+
+    baseline = threading.active_count()
+    with mock.patch.object(sequence, "_usable_cpus", lambda: 2), \
+            mock.patch.object(sequence, "_WINDOW_EVENTS", 16), \
+            mock.patch.object(sequence._Windows, "sums", failing_sums):
+        with pytest.raises(ZeroDivisionError, match="worker failed"):
+            bohr_mean(seq, 400.0)
+    # failing 0 fails on the calling thread, failing 1 on the pool thread
     assert len(failed_in) == 1
     assert (failed_in[0] is threading.main_thread()) == (failing == 0)
     assert threading.active_count() == baseline
