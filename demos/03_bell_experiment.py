@@ -18,7 +18,6 @@ from windingphase import (
     WindingChain,
     chsh,
     correlation,
-    measure,
     relative_phase,
     residual_curve,
 )
@@ -41,7 +40,7 @@ pair = PairConfig(
 print("relative phase gamma_a and detector response at theta = pi/4:")
 for tau in (0.5, 2.0, 10.0, 123.456):
     g = relative_phase(pair, tau)
-    print(f"  tau {tau:8.3f}: gamma = {g:.6f}, response = {measure(math.pi / 4, g):+.6f}")
+    print(f"  tau {tau:8.3f}: gamma = {g:.6f}, response = {math.cos(math.pi / 4 + g):+.6f}")
 
 # --- correlation converges to cos(theta_a + theta_b) ---------------------------
 theta_a, theta_b = 0.3, 1.1

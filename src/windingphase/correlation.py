@@ -22,8 +22,9 @@ exact bits of the pair and t: both chains' integer coefficients, the
 count), so a hit builds no sequence and counts no event.  A settings sweep at
 one (pair, t) therefore sums the windows once, and every result has the bits
 of a fresh ``bohr_mean``.  ``residual_curve`` cuts its windows at its own
-horizons and keeps its own pass.  Both sum the windows on every usable CPU
-(see ``sequence._window_sums``), with the bits of a one-thread pass.
+horizons and keeps its own pass.  Both are the lam = 0 integrals of
+``sequence._window_integrals``, summed on every usable CPU with the bits of a
+one-thread pass.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import DimensionError, DomainError
 from .sequence import (
     PhaseSequence,
     _check_time,
-    _window_sums,
+    _window_integrals,
     bohr_mean,
     event_count,
     phase_at,
@@ -88,11 +89,6 @@ def relative_phase(pair: PairConfig, tau: float) -> float:
     ``pair.swapped()`` to get gamma_b = -gamma_a mod 2*pi.
     """
     return wrap_angle(phase_at(pair.sequence_b, tau) - phase_at(pair.sequence_a, tau))
-
-
-def measure(theta: float, gamma: float) -> float:
-    """Detector response cos(theta + gamma), in [-1, 1]."""
-    return math.cos(theta + gamma)
 
 
 @dataclass(frozen=True)
@@ -206,8 +202,8 @@ def residual_curve(
     rotation = cmath.exp(1j * (theta_a - theta_b))
     integral = 0j
     out = []
-    for end, window in zip(*_window_sums(_doubled(pair.difference), hs[-1], hs)):
-        integral += complex(window)
+    for end, row in zip(*_window_integrals(_doubled(pair.difference), (0.0,), hs[-1], hs)):
+        integral += complex(row[0])
         while len(out) < len(hs) and hs[len(out)] == end:
             t = hs[len(out)]
             out.append((t, (rotation * integral).real / t))

@@ -5,8 +5,9 @@ comma-separated record per event, ordered by (time, cycle_index).  Times and
 increments are written with 17 significant decimal digits so reading the log
 back reproduces the original doubles bit for bit.
 
-The writer streams the interval in windows of about 16k events (the windows
-of ``sequence._windows``), so its memory does not grow with the interval.
+The writer streams the interval in windows of about 16k events (cut by
+``sequence._window_cuts``, as the windowed reductions' windows are), so its
+memory does not grow with the interval.
 The reader parses the body in chunks of lines with ``np.loadtxt`` and still
 returns every event of the log as one list.
 """
@@ -38,10 +39,11 @@ _SLOT_SETTERS = tuple(getattr(PhaseEvent, name).__set__ for name in _ROW.names)
 def write_event_log(path, seq: PhaseSequence, t0: float = 0.0, t1: float = None) -> int:
     """Write all events of ``seq`` in (t0, t1] to ``path``; returns the row count.
 
-    Rows are ``%.17g,%d,%.17g``.  The interval is cut as ``sequence._windows``
-    cuts it and each window's events come from one event_arrays call; a cut's
-    winding counts are shared by the windows on either side, so the windows'
-    rows concatenate to the rows of the whole interval.  A cycle's increment
+    Rows are ``%.17g,%d,%.17g``.  The interval is cut by
+    ``sequence._window_cuts``, as the windowed reductions cut theirs, and
+    each window's events come from one event_arrays call; a cut's winding
+    counts are shared by the windows on either side, so the windows' rows
+    concatenate to the rows of the whole interval.  A cycle's increment
     never changes, so the ``,cycle,increment`` end of its rows is formatted
     once and only the time is formatted per row.
     """

@@ -12,20 +12,19 @@ sequence; this module provides the generator plus the analysis battery
 (Bohr means, Fourier coefficients, almost-period search, randomness scores).
 
 The reductions over [0, t] (Bohr mean, Fourier spectrum, and the correlation
-moment and residual curve built on them) sum the constant segments window by
-window, each window holding about ``_WINDOW_EVENTS`` events and starting from
-the phase of its integer winding counts reduced exactly mod 2*pi.  A window's
-sum depends on nothing outside it, so ``bohr_mean`` and the residual curve
-sum the windows on one thread per usable CPU, each thread taking the next
-window not yet taken into buffers of its own, and fold the window sums in
-window order; the Fourier spectrum splits its lams over the threads instead.
-Either way every result has the bits of a one-thread pass.
+moment and residual curve built on them) are integrals of e^{i Phi} against
+e^{-i lam tau}, the Bohr mean being lam = 0.  They share one segment kernel
+(``_window_terms``), applied window by window, each window holding about
+``_WINDOW_EVENTS`` events and starting from the phase of its integer winding
+counts reduced exactly mod 2*pi, and one scheduler (``_window_integrals``):
+one thread per usable CPU, each with buffers of its own, takes the next
+untaken (window, lam block) task, and the caller folds the rows in window
+order, so every result has the bits of a one-thread pass.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
+import itertools
 import math
 import os
 import threading
@@ -254,11 +253,18 @@ class _Windows:
         return len(self.starts)
 
     def buffers(self):
-        """(scratch, bounds, phases, factors) buffers, large enough for any window."""
+        """(scratch, bounds, phases, factors, scale, sinc, kernel), large enough for any window.
+
+        ``build`` writes the first four; _window_terms reads bounds and
+        factors and uses the others, scratch and phases included, as scratch.
+        """
         most = self.most
         return (
             np.empty(most + 1),
             np.empty(most + 2),
+            np.empty(most + 1),
+            np.empty(most + 1, dtype=complex),
+            np.empty(most + 1),
             np.empty(most + 1),
             np.empty(most + 1, dtype=complex),
         )
@@ -273,7 +279,7 @@ class _Windows:
         buffer holds first the event times and then the increments, and is
         free again on return, so a window allocates only its merge order.
         """
-        scratch, bounds_buf, phases_buf, factors_buf = buffers
+        scratch, bounds_buf, phases_buf, factors_buf = buffers[:4]
         order, per_cycle = _merged_progressions(
             self.periods, self.counts[j], self.counts[j + 1], self.iota, scratch
         )
@@ -294,36 +300,46 @@ class _Windows:
         phases[1:] += self.starts[j]
         return bounds, _unit_phasors(phases, factors_buf[: order.size + 1])
 
-    def sums(self, js) -> dict:
-        """{j: segment sum of window j} for every j that ``js`` yields."""
-        buffers = self.buffers()
-        return {j: _segment_sum(*self.build(j, buffers), buffers[0]) for j in js}
 
+def _window_terms(lams, bounds, factors, buffers) -> np.ndarray:
+    """One window's integral of e^{i Phi(tau)} e^{-i lam tau} d tau, per lam in ``lams``.
 
-def _windows(seq: PhaseSequence, t: float, edges=()):
-    """Yield (bounds, factors) for consecutive windows tiling [0, t]; see _Windows.
-
-    Every window is written into the same buffers: use (or overwrite) its
-    arrays before asking for the next one.
+    ``bounds`` and ``factors`` are a window that _Windows.build wrote into
+    ``buffers``; they are read, never written, and the rest of ``buffers``
+    is scratch.  On each constant segment [a, b) the oscillatory factor
+    integrates in closed form to the numerically stable kernel
+    ``(b - a) * sinc(lam (b - a) / 2) * e^{-i lam (a + b) / 2}``; at lam = 0
+    (or -0.0) the kernel is the width b - a itself, the value those steps
+    give there, so the segment sum is the width times e^{i Phi} with no sin
+    and no complex exp.
     """
-    windows = _Windows(seq, t, edges)
-    buffers = windows.buffers()
-    for j in range(len(windows)):
-        yield windows.build(j, buffers)
-
-
-def _segment_sum(bounds, factors, width) -> np.complex128:
-    """np.sum(factors * np.diff(bounds)), the same bits, scaling ``factors`` in place.
-
-    ``width`` is scratch space at least ``factors.size`` long.  Each product
-    is the one the complex multiply rounds to (up to the sign of a zero),
-    and the sum runs over the same contiguous layout.
-    """
-    width = width[: factors.size]
+    width, _, centers, _, scale, sinc, kernel = (b[: factors.size] for b in buffers)
     np.subtract(bounds[1:], bounds[:-1], out=width)
-    factors.real *= width
-    factors.imag *= width
-    return np.sum(factors)
+    if np.any(lams):  # the segment centers, which only a nonzero lam needs
+        np.add(bounds[:-1], bounds[1:], out=centers)
+    terms = np.empty(len(lams), dtype=complex)
+    for k, lam in enumerate(lams.tolist()):
+        if lam == 0.0:
+            np.multiply(factors.real, width, out=kernel.real)
+            np.multiply(factors.imag, width, out=kernel.imag)
+        else:
+            # width * np.sinc(lam * width / (2 pi)) in np.sinc's own steps:
+            # y = pi * x, a zero y replaced by eps (giving 1.0), then sin(y) / y
+            np.multiply(lam, width, out=scale)
+            scale /= 2.0 * np.pi
+            scale *= np.pi
+            scale[scale == 0.0] = np.finfo(float).eps
+            np.sin(scale, out=sinc)
+            sinc /= scale
+            sinc *= width
+            # times e^{-i lam (a + b) / 2}, whose angle is (-0.5 lam) * centers
+            np.multiply(centers, -0.5 * lam, out=scale)
+            _unit_phasors(scale, kernel)
+            kernel.real *= sinc
+            kernel.imag *= sinc
+            np.multiply(factors, kernel, out=kernel)
+        terms[k] = np.sum(kernel)
+    return terms
 
 
 def _usable_cpus() -> int:
@@ -333,64 +349,54 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-@contextlib.contextmanager
-def _thread_split(n: int):
-    """Yield ``split(calls)``, which returns [call() for call in calls].
+def _window_integrals(seq: PhaseSequence, lams, t: float, edges=()):
+    """(ends, rows): every window of [0, t]'s end time and its _window_terms row.
 
-    ``split`` makes the first call on this thread and the others at the same
-    time on a pool of n - 1 threads that lasts as long as the with-block;
-    with n = 1 there is no pool and every call runs here.  An error of any
-    call is raised by ``split``, and the pool's threads have ended before
-    the with-block is left.  The calls must share nothing they write, and
-    call no function that perfbench/spans.py wraps: its span stack belongs
-    to one thread.
+    ``rows[j, k]`` is window j's integral for ``lams[k]``.  The work is split
+    into (window j, lam block) tasks, with min(len(lams), ceil(cpus / window
+    count)) contiguous lam blocks so that even one window gives every usable
+    CPU a task.  n = min(task count, usable CPUs) threads, this one and a pool
+    of n - 1 made for the call, each with buffers of its own, take the next
+    untaken task in window-major order from one shared iterator, so a thread
+    that the OS (or a hypervisor) holds back delays the others by at most
+    the task it is on.  A row holds the same bits whichever thread wrote it,
+    so folding the rows in window order gives the bits of a one-thread pass.
+    The threads call no function that perfbench/spans.py wraps: its span
+    stack belongs to one thread.
     """
-    if n <= 1:
-        yield lambda calls: [call() for call in calls]
-        return
-    # imported here, so only a split over several threads loads it
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(n - 1) as pool:
-
-        def split(calls):
-            others = [pool.submit(call) for call in calls[1:]]
-            first = calls[0]()
-            return [first] + [other.result() for other in others]
-
-        yield split
-
-
-def _window_sums(seq: PhaseSequence, t: float, edges=()):
-    """(ends, sums): the end time and the segment sum of every window of [0, t].
-
-    n = min(window count, usable CPUs) threads sum the windows, this one and
-    a pool of n - 1, each in buffers of its own.  Every thread takes the
-    next window that no thread has taken, so a thread that the OS (or a
-    hypervisor) holds back delays the others by at most the window it is
-    on, not by a fixed share.  A window is summed by the same steps whichever
-    thread sums it, so folding ``sums`` in order gives the bits of a
-    one-thread pass.
-    """
+    lams = np.asarray(lams, dtype=float)
     windows = _Windows(seq, t, edges)
-    m = len(windows)
-    lock, untaken = threading.Lock(), iter(range(m))
+    m, k, cpus = len(windows), lams.size, _usable_cpus()
+    blocks = min(k, -(-cpus // m))
+    tasks = itertools.product(
+        range(m), [slice(k * b // blocks, k * (b + 1) // blocks) for b in range(blocks)]
+    )
+    rows = np.empty((m, k), dtype=complex)
+    lock = threading.Lock()
 
-    def take():
+    def work():
+        buffers = windows.buffers()
         while True:
             with lock:
-                j = next(untaken, None)
-            if j is None:
+                task = next(tasks, None)
+            if task is None:
                 return
-            yield j
+            j, block = task
+            rows[j, block] = _window_terms(lams[block], *windows.build(j, buffers), buffers)
 
-    n = max(1, min(m, _usable_cpus()))
-    with _thread_split(n) as split:
-        parts = split([functools.partial(windows.sums, take()) for _ in range(n)])
-    sums = {}
-    for part in parts:
-        sums.update(part)
-    return windows.cuts[1:].tolist(), [sums[j] for j in range(m)]
+    n = min(m * blocks, cpus)
+    if n <= 1:
+        work()
+    else:
+        # imported here, so only a call split over several threads loads it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(n - 1) as pool:
+            others = [pool.submit(work) for _ in range(n - 1)]
+            work()
+            for other in others:
+                other.result()
+    return windows.cuts[1:].tolist(), rows
 
 
 def _check_time(seq: PhaseSequence, t: float) -> float:
@@ -404,60 +410,26 @@ def bohr_mean(seq: PhaseSequence, t: float) -> complex:
     """Time average (1/t) * integral_0^t e^{i Phi(tau)} d tau.
 
     Computed exactly as a sum over the constant segments between events, so
-    there is no sampling step to tune.  The segments are summed window by
-    window, the windows split over the usable CPUs (see _window_sums), so
-    memory stays bounded and accuracy does not degrade as t grows.  The
-    magnitude is always <= 1 and equals 1 only for a phase constant on [0, t].
+    there is no sampling step to tune: the lam = 0 case of fourier_spectrum,
+    summed over the same windows (see _window_integrals), so memory stays
+    bounded and accuracy does not degrade as t grows.  The magnitude is
+    always <= 1 and equals 1 only for a phase constant on [0, t].
     """
     t = _check_time(seq, t)
     total = 0j
-    for window in _window_sums(seq, t)[1]:
-        total += window
+    for row in _window_integrals(seq, (0.0,), t)[1]:
+        total += row[0]
     return complex(total / t)
-
-
-def _spectrum_terms(lams, out, bounds, factors, width, centers, ks) -> None:
-    """Add one window's term to ``out[k]`` for every lam index k in ``ks``.
-
-    Reads the window's arrays without writing them and keeps its scratch
-    buffers to itself, so calls for disjoint ``ks`` may run at once.
-    """
-    scale, sinc, kernel = np.empty_like(width), np.empty_like(width), np.empty_like(factors)
-    for k in ks:
-        lam = lams[k]
-        # width * np.sinc(lam * width / (2 pi)) in np.sinc's own steps:
-        # y = pi * x, a zero y replaced by eps (giving 1.0), then sin(y) / y
-        np.multiply(lam, width, out=scale)
-        scale /= 2.0 * np.pi
-        scale *= np.pi
-        scale[scale == 0.0] = np.finfo(float).eps
-        np.sin(scale, out=sinc)
-        sinc /= scale
-        sinc *= width
-        # times e^{-i lam (a + b) / 2}, whose angle is (-0.5 lam) * centers
-        np.multiply(centers, -0.5 * lam, out=scale)
-        _unit_phasors(scale, kernel)
-        kernel.real *= sinc
-        kernel.imag *= sinc
-        np.multiply(factors, kernel, out=kernel)
-        out[k] += np.sum(kernel)
 
 
 def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
     """Fourier coefficients (1/t) * integral_0^t e^{i Phi(tau)} e^{-i lam tau} d tau.
 
     One coefficient per entry of ``lams``, all from one pass over the same
-    windows as bohr_mean.  The oscillatory factor is integrated in closed
-    form on each constant segment via the numerically stable kernel
-    ``(b - a) * sinc(lam (b-a) / 2) * e^{-i lam (a+b)/2}``, which reduces to
-    the plain segment length at lam = 0; windows are accumulated in the same
-    order as in bohr_mean, so lam = 0 reproduces bohr_mean exactly.
-
-    The lams are split over n = min(len(lams), usable CPUs) threads: lam
-    index k goes to group k mod n, this thread runs group 0 and a pool of
-    n - 1 threads the others, and every group ends a window before the next
-    one is built.  Each coefficient is still summed by one thread in window
-    order, so the result is bit-identical to a one-thread pass.
+    windows as bohr_mean, each integrated in closed form on every constant
+    segment (see _window_terms).  The windows' terms are added in window
+    order, as in bohr_mean, so lam = 0 reproduces bohr_mean exactly, and the
+    result is bit-identical to a one-thread pass.
     """
     t = _check_time(seq, t)
     lams = np.asarray(lams, dtype=float)
@@ -466,18 +438,11 @@ def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
     lams = np.atleast_1d(lams)
     if not np.all(np.isfinite(lams)):
         raise DomainError("every lam must be finite")
-    if lams.size == 0:
-        return np.zeros(0, dtype=complex)
     out = np.zeros(lams.size, dtype=complex)
-    n = max(1, min(lams.size, _usable_cpus()))
-    groups = [range(w, lams.size, n) for w in range(n)]
-    with _thread_split(n) as split:
-        for bounds, factors in _windows(seq, t):
-            width = np.diff(bounds)
-            centers = bounds[:-1] + bounds[1:]
-            terms = functools.partial(_spectrum_terms, lams, out, bounds, factors, width, centers)
-            # every group ends before _windows reuses its buffers
-            split([functools.partial(terms, ks) for ks in groups])
+    if lams.size == 0:
+        return out
+    for row in _window_integrals(seq, lams, t)[1]:
+        out += row
     return out / t
 
 

@@ -20,7 +20,6 @@ from windingphase import (
     WindingChain,
     chsh,
     correlation,
-    measure,
     phase_at,
     phase_at_many,
     relative_phase,
@@ -132,19 +131,6 @@ class TestRelativePhase:
     def test_horizon_overrun(self, canonical_pair):
         with pytest.raises(DomainError):
             relative_phase(canonical_pair, 2000.5)
-
-
-class TestMeasure:
-    def test_reference_points(self):
-        assert measure(0.0, 0.0) == 1.0
-        assert abs(measure(math.pi / 2, 0.0)) <= 1e-15
-        # independent evaluation: cos(pi/4 + pi/4) = cos(pi/2) = 0
-        assert abs(measure(math.pi / 4, math.pi / 4)) <= 1e-15
-
-    def test_range(self):
-        rng = np.random.default_rng(2)
-        for theta, gamma in rng.uniform(-10, 10, (100, 2)):
-            assert -1.0 <= measure(theta, gamma) <= 1.0
 
 
 class TestCorrelation:

@@ -27,7 +27,7 @@ from windingphase import (
     sequence,
 )
 from windingphase.correlation import _doubled
-from windingphase.sequence import _unit_phasors, _windows
+from windingphase.sequence import _unit_phasors, _Windows
 
 T = 2e5
 LAMS = [0.0, 0.7, -3.1, 12.5]
@@ -63,7 +63,7 @@ def hexes(z):
 
 
 def test_canonical_m2_spans_many_windows(canonical_pair):
-    assert sum(1 for _ in _windows(_doubled(canonical_pair.difference), T)) == 21
+    assert len(_Windows(_doubled(canonical_pair.difference), T)) == 21
 
 
 def test_bohr_means(canonical_pair):
@@ -140,7 +140,10 @@ def test_windows_equal_the_event_arrays_route(monkeypatch, window_events):
     seq, t, edges = genus2_seq(3000.0), 2999.5, (12.0, 1000.0)
     monkeypatch.setattr(sequence, "_WINDOW_EVENTS", window_events)
     ends = []
-    for bounds, factors in _windows(seq, t, edges):
+    windows = _Windows(seq, t, edges)
+    buffers = windows.buffers()
+    for j in range(len(windows)):
+        bounds, factors = windows.build(j, buffers)
         a, b = float(bounds[0]), float(bounds[-1])
         times, _, incs = event_arrays(seq, a, b)
         start = phase_at(seq, a)

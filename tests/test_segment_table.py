@@ -163,130 +163,95 @@ def test_spectrum_matches_per_lambda_oracle(data, pair):
     assert got.tolist() == [fourier_coefficient_scalar(seq, lam, t) for lam in lams]
 
 
-def _spectrum_by_workers(seq, lams, t, workers):
-    """fourier_spectrum with ``workers`` usable CPUs, and the lam indices each call took."""
-    calls, threads = [], set()
-    terms = sequence._spectrum_terms
+class _Run:
+    """What one scheduled reduction did: its values, its threads and its tasks."""
 
-    def recording_terms(*args):
-        calls.append(tuple(args[-1]))
-        threads.add(threading.current_thread())
-        return terms(*args)
-
-    with mock.patch.object(sequence, "_usable_cpus", lambda: workers), \
-            mock.patch.object(sequence, "_spectrum_terms", recording_terms):
-        spectrum = fourier_spectrum(seq, lams, t)
-    # the calling thread runs one group and n - 1 pool threads the others
-    assert threading.main_thread() in threads
-    assert len(threads) <= len(set(calls))
-    return spectrum, calls
+    def __init__(self):
+        self.values, self.windows = None, None
+        self.threads, self.tasks = [], []
 
 
-@PROPERTY
-@given(data=st.data(), pair=pairs(), window_events=st.integers(1, 64))
-def test_spectrum_is_bit_identical_for_every_worker_count(data, pair, window_events):
-    seq = data.draw(st.sampled_from([pair.sequence_a, pair.sequence_b, pair.difference]))
-    t = data.draw(st.floats(0.5, pair.horizon))
-    # 1 to 6 lams: fewer than, as many as and more than 1-4 workers
-    lams = data.draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=6))
-    oracle = [fourier_coefficient_scalar(seq, lam, t) for lam in lams]
-    for workers in (1, 2, 3, 4):
-        n = min(len(lams), workers)
-        groups = [tuple(range(w, len(lams), n)) for w in range(n)]
-        # one window at these horizons: the oracle's segment table, bit for bit
-        whole, calls = _spectrum_by_workers(seq, lams, t, workers)
-        assert whole.tolist() == oracle
-        assert sorted(calls) == groups
-        # many windows: the same bits as one thread
-        with mock.patch.object(sequence, "_WINDOW_EVENTS", window_events):
-            split, calls = _spectrum_by_workers(seq, lams, t, workers)
-            one_thread, _ = _spectrum_by_workers(seq, lams, t, 1)
-        hexes = [(z.real.hex(), z.imag.hex()) for z in split.tolist()]
-        assert hexes == [(z.real.hex(), z.imag.hex()) for z in one_thread.tolist()]
-        # every window hands each group to one call
-        assert sorted(calls) == sorted(groups * (len(calls) // n))
+def _scheduled(reduce, workers, hold=None):
+    """Run reduce() with ``workers`` usable CPUs and record the scheduler's work.
 
+    ``threads`` lists the thread of every task loop (each asks for its
+    buffers once), ``tasks`` one (thread, window, lam hexes) per
+    _window_terms call.  ``hold(thread)``, if given, runs before a thread
+    asks for its buffers, that is before it takes any task.
+    """
+    run, local = _Run(), threading.local()
+    buffers, build, terms = sequence._Windows.buffers, sequence._Windows.build, sequence._window_terms
 
-def test_spectrum_threads_lose_no_update_under_fast_switching():
-    # more workers than cores, many windows and a thread switch about every
-    # microsecond: a lost or misordered += on a shared out[k] changes bits
-    surface = SurfaceSpec(2)
-    seq = PhaseSequence(
-        surface,
-        WindingChain(surface, (1, -1, 2, 1)),
-        CycleAssignment(surface, (0.9, 1.3, 0.4, 2.2), (1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0)),
-        300.0,
-    )
-    lams = np.linspace(-6.0, 6.0, 19)
-    with mock.patch.object(sequence, "_WINDOW_EVENTS", 8):
-        expected, _ = _spectrum_by_workers(seq, lams, 300.0, 1)
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)
-            got, calls = _spectrum_by_workers(seq, lams, 300.0, 8)
-        finally:
-            sys.setswitchinterval(interval)
-    assert len(set(calls)) == 8
-    assert [(z.real.hex(), z.imag.hex()) for z in got.tolist()] == [
-        (z.real.hex(), z.imag.hex()) for z in expected.tolist()
-    ]
+    def recording_buffers(self):
+        if hold is not None:
+            hold(threading.current_thread())
+        run.windows = len(self)
+        run.threads.append(threading.current_thread())
+        return buffers(self)
 
+    def recording_build(self, j, bufs):
+        local.j = j
+        return build(self, j, bufs)
 
-@pytest.mark.parametrize("failing", [0, 1])
-def test_spectrum_worker_error_propagates_and_threads_end(failing):
-    surface = SurfaceSpec(1)
-    seq = PhaseSequence(
-        surface,
-        WindingChain(surface, (1, -1)),
-        CycleAssignment(surface, (0.9, 1.3), (1.0, math.sqrt(2.0))),
-        500.0,
-    )
-    terms, failed_in = sequence._spectrum_terms, []
-
-    def failing_terms(*args):
-        if failing in args[-1]:
-            failed_in.append(threading.current_thread())
-            raise ZeroDivisionError("worker failed")
-        return terms(*args)
-
-    baseline = threading.active_count()
-    with mock.patch.object(sequence, "_usable_cpus", lambda: 3), \
-            mock.patch.object(sequence, "_WINDOW_EVENTS", 16), \
-            mock.patch.object(sequence, "_spectrum_terms", failing_terms):
-        with pytest.raises(ZeroDivisionError, match="worker failed"):
-            fourier_spectrum(seq, [0.0, 0.5, 1.0, 1.5], 400.0)
-    # group 0 runs on the calling thread, group 1 on a pool thread
-    assert len(failed_in) == 1
-    assert (failed_in[0] is threading.main_thread()) == (failing == 0)
-    assert threading.active_count() == baseline
-
-
-def _window_sums_by_workers(reduce, workers):
-    """reduce() with ``workers`` usable CPUs, and the windows each sums call took, by thread."""
-    runs = []
-    sums = sequence._Windows.sums
-
-    def recording_sums(self, js):
-        part = sums(self, js)
-        runs.append((sorted(part), threading.current_thread()))
-        return part
+    def recording_terms(lams, *rest):
+        run.tasks.append((threading.current_thread(), local.j, [lam.hex() for lam in lams.tolist()]))
+        return terms(lams, *rest)
 
     with mock.patch.object(sequence, "_usable_cpus", lambda: workers), \
-            mock.patch.object(sequence._Windows, "sums", recording_sums):
-        return reduce(), runs
+            mock.patch.object(sequence._Windows, "buffers", recording_buffers), \
+            mock.patch.object(sequence._Windows, "build", recording_build), \
+            mock.patch.object(sequence, "_window_terms", recording_terms):
+        run.values = _hexes(reduce())
+    return run
 
 
 def _hexes(values):
     return [(complex(z).real.hex(), complex(z).imag.hex()) for z in values]
 
 
-def _genus1_seq():
+def _assert_every_task_taken_once(run, lams, workers):
+    """Each window's lam blocks cover ``lams`` once; min(tasks, workers) task loops ran, one on the caller.
+
+    A pool thread whose loop found no task left may run another loop.
+    """
+    blocks = min(len(lams), -(-workers // run.windows))
+    assert sorted(j for _, j, _ in run.tasks) == sorted(list(range(run.windows)) * blocks)
+    for j in range(run.windows):
+        taken = [lam for _, i, block in run.tasks if i == j for lam in block]
+        assert sorted(taken) == sorted(lam.hex() for lam in lams)
+    assert len(run.threads) == min(run.windows * blocks, workers)
+    assert threading.main_thread() in run.threads
+
+
+def _reductions(pair, seq, t, lams, horizons, theta_a=0.3, theta_b=1.1):
+    """{name: (lams, call)} for every reduction the scheduler runs."""
+    return {
+        "bohr_mean": ((0.0,), lambda: [bohr_mean(seq, t)]),
+        "fourier_spectrum": (lams, lambda: fourier_spectrum(seq, lams, t).tolist()),
+        "residual_curve": (
+            (0.0,),
+            lambda: [r for _, r in residual_curve(pair, theta_a, theta_b, horizons)],
+        ),
+    }
+
+
+def _genus2_pair(horizon):
+    surface = SurfaceSpec(2)
+    assign = CycleAssignment(
+        surface, (0.9, 1.3, 0.4, 2.2), (1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0)
+    )
+    return PairConfig(
+        PhaseSequence(surface, WindingChain(surface, (1, -1, 2, 1)), assign, horizon),
+        PhaseSequence(surface, WindingChain(surface, (0, 1, 1, -2)), assign, horizon),
+    )
+
+
+def _genus1_pair(horizon=500.0):
     surface = SurfaceSpec(1)
-    return PhaseSequence(
-        surface,
-        WindingChain(surface, (1, -1)),
-        CycleAssignment(surface, (0.9, 1.3), (1.0, math.sqrt(2.0))),
-        500.0,
+    assign = CycleAssignment(surface, (0.9, 1.3), (1.0, math.sqrt(2.0)))
+    return PairConfig(
+        PhaseSequence(surface, WindingChain(surface, (1, 0)), assign, horizon),
+        PhaseSequence(surface, WindingChain(surface, (0, 1)), assign, horizon),
     )
 
 
@@ -295,107 +260,140 @@ def _genus1_seq():
 def test_window_sums_are_bit_identical_for_every_worker_count(data, pair, window_events):
     seq = data.draw(st.sampled_from([pair.sequence_a, pair.sequence_b, pair.difference]))
     t = data.draw(st.floats(0.5, pair.horizon))
+    # both zeros, and 1 to 6 lams: fewer than, as many as and more than 1-4 workers
+    drawn = data.draw(st.lists(st.floats(-20.0, 20.0), max_size=4))
+    lams = data.draw(st.permutations([-0.0, 0.0] + drawn))
     horizons = sorted(data.draw(st.lists(st.floats(0.5, pair.horizon), min_size=1, max_size=4)))
     a1, a2, b1, b2 = (data.draw(st.floats(-10.0, 10.0)) for _ in range(4))
     settings_ = [(a1, b1), (a1, b2), (a2, b1), (a2, b2)]
+    reductions = _reductions(pair, seq, t, lams, horizons, a1, b1)
 
-    def reductions():
+    def through_the_memo():
         corr._memo_moment.cache_clear()
         cold = correlations(pair, settings_, t)  # sums M2 on the workers
         warm = chsh(pair, a1, a2, b1, b2, t)  # reads the memo
         assert warm.estimates == cold
-        curve = residual_curve(pair, a1, b1, horizons)
-        mean = bohr_mean(seq, t)  # last, so its sums calls end the list
-        return (
-            _hexes([mean]),
-            _hexes([e.value for e in cold] + [e.residual for e in cold] + [warm.s]),
-            [(h, r.hex()) for h, r in curve],
-            [e.segment_count for e in cold],
-        )
+        return [e.value for e in cold] + [e.residual for e in cold] + [warm.s]
 
-    with mock.patch.object(sequence, "_WINDOW_EVENTS", window_events):
-        windows = len(sequence._Windows(seq, t))
-        one_thread, runs = _window_sums_by_workers(reductions, 1)
-        assert {thread for _, thread in runs} == {threading.main_thread()}
-        for workers in (2, 3, 4):
-            got, runs = _window_sums_by_workers(reductions, workers)
-            assert got == one_thread
-            # bohr_mean: n threads, this one among them, took every window once
-            n = min(windows, workers)
-            assert sorted(j for js, _ in runs[-n:] for j in js) == list(range(windows))
-            assert threading.main_thread() in {thread for _, thread in runs[-n:]}
+    # small windows, then the default: one window at these horizons
+    for events in (window_events, sequence._WINDOW_EVENTS):
+        with mock.patch.object(sequence, "_WINDOW_EVENTS", events):
+            memo_bits = _scheduled(through_the_memo, 1).values
+            for name, (lams_, reduce) in reductions.items():
+                runs = {workers: _scheduled(reduce, workers) for workers in (1, 2, 3, 4)}
+                assert set(runs[1].threads) == {threading.main_thread()}
+                for workers, run in runs.items():
+                    assert run.values == runs[1].values, name
+                    _assert_every_task_taken_once(run, lams_, workers)
+                if name == "fourier_spectrum":
+                    # lam = 0 and lam = -0.0 are the Bohr mean, bit for bit
+                    mean = _hexes([bohr_mean(seq, t)])[0]
+                    assert all(v == mean for lam, v in zip(lams, runs[1].values) if lam == 0.0)
+            for workers in (2, 3, 4):
+                assert _scheduled(through_the_memo, workers).values == memo_bits
     corr._memo_moment.cache_clear()
 
 
 def test_window_sums_keep_their_bits_under_fast_switching():
-    # more workers than cores, many windows and a thread switch about every
-    # microsecond: a window built in another thread's buffers changes bits
-    surface = SurfaceSpec(2)
-    seq = PhaseSequence(
-        surface,
-        WindingChain(surface, (1, -1, 2, 1)),
-        CycleAssignment(surface, (0.9, 1.3, 0.4, 2.2), (1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0)),
-        300.0,
-    )
+    # more workers than cores, many tasks and a thread switch about every
+    # microsecond: a task built in another thread's buffers, or a row
+    # folded out of window order, changes bits
+    pair = _genus2_pair(300.0)
+    lams = np.concatenate(([-0.0, 0.0], np.linspace(-6.0, 6.0, 19)))
+    reductions = _reductions(pair, pair.sequence_a, 300.0, lams, [10.0, 77.7, 300.0])
     with mock.patch.object(sequence, "_WINDOW_EVENTS", 8):
-        windows = len(sequence._Windows(seq, 300.0))
-        expected, _ = _window_sums_by_workers(lambda: bohr_mean(seq, 300.0), 1)
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)
-            got, runs = _window_sums_by_workers(lambda: bohr_mean(seq, 300.0), 8)
-        finally:
-            sys.setswitchinterval(interval)
-    assert len(runs) == 8
-    assert sorted(j for js, _ in runs for j in js) == list(range(windows))
-    assert _hexes([got]) == _hexes([expected])
+        for name, (lams_, reduce) in reductions.items():
+            expected = _scheduled(reduce, 1)
+            interval = sys.getswitchinterval()
+            try:
+                sys.setswitchinterval(1e-6)
+                run = _scheduled(reduce, 8)
+            finally:
+                sys.setswitchinterval(interval)
+            assert run.values == expected.values, name
+            assert len(run.threads) == 8
+            _assert_every_task_taken_once(run, lams_, 8)
 
 
 def test_a_held_back_worker_leaves_its_windows_to_the_caller():
-    seq, caller_done = _genus1_seq(), threading.Event()
-    sums, runs = sequence._Windows.sums, []
+    pair = _genus1_pair()
+    reductions = _reductions(pair, pair.sequence_a, 400.0, [0.0, 0.5, -0.0, 1.5], [10.0, 400.0])
+    # many windows for every reduction, then one window in two lam blocks
+    for events, names in ((16, list(reductions)), (sequence._WINDOW_EVENTS, ["fourier_spectrum"])):
+        with mock.patch.object(sequence, "_WINDOW_EVENTS", events):
+            for name in names:
+                lams_, reduce = reductions[name]
+                expected = _scheduled(reduce, 1)
+                total = len(expected.tasks) * min(len(lams_), -(-2 // expected.windows))
+                caller_done, done = threading.Event(), []
 
-    def held_back_sums(self, js):
-        on_caller = threading.current_thread() is threading.main_thread()
-        if not on_caller:
-            assert caller_done.wait(timeout=60.0)
-        part = sums(self, js)
-        runs.append((sorted(part), on_caller))
-        caller_done.set()
-        return part
+                def hold(thread):
+                    if thread is not threading.main_thread():
+                        assert caller_done.wait(timeout=60.0)
 
-    with mock.patch.object(sequence, "_WINDOW_EVENTS", 16):
-        windows = len(sequence._Windows(seq, 400.0))
-        with mock.patch.object(sequence, "_usable_cpus", lambda: 1):
-            expected = bohr_mean(seq, 400.0)
-        with mock.patch.object(sequence, "_usable_cpus", lambda: 2), \
-                mock.patch.object(sequence._Windows, "sums", held_back_sums):
-            got = bohr_mean(seq, 400.0)
-    assert windows > 1
-    assert runs == [(list(range(windows)), True), ([], False)]
-    assert _hexes([got]) == _hexes([expected])
+                def counting(*args, terms=sequence._window_terms):
+                    result = terms(*args)
+                    done.append(threading.current_thread())
+                    if len(done) == total:
+                        caller_done.set()
+                    return result
+
+                with mock.patch.object(sequence, "_window_terms", counting):
+                    run = _scheduled(reduce, 2, hold)
+                assert len(run.threads) == 2, name
+                assert {thread for thread, _, _ in run.tasks} == {threading.main_thread()}
+                assert run.values == expected.values
+                _assert_every_task_taken_once(run, lams_, 2)
 
 
 @pytest.mark.parametrize("failing", [0, 1])
 def test_window_worker_error_propagates_and_threads_end(failing):
-    seq, sums, failed_in = _genus1_seq(), sequence._Windows.sums, []
+    pair = _genus1_pair()
+    reductions = _reductions(pair, pair.sequence_a, 400.0, [0.0, 0.5, 1.0, 1.5], [10.0, 400.0])
+    buffers = sequence._Windows.buffers
+    for name, (_, reduce) in reductions.items():
+        failed_in = []
 
-    def failing_sums(self, js):
-        if (threading.current_thread() is threading.main_thread()) == (failing == 0):
-            failed_in.append(threading.current_thread())
-            raise ZeroDivisionError("worker failed")
-        return sums(self, js)
+        def failing_buffers(self):
+            if (threading.current_thread() is threading.main_thread()) == (failing == 0):
+                failed_in.append(threading.current_thread())
+                raise ZeroDivisionError("worker failed")
+            return buffers(self)
 
-    baseline = threading.active_count()
-    with mock.patch.object(sequence, "_usable_cpus", lambda: 2), \
-            mock.patch.object(sequence, "_WINDOW_EVENTS", 16), \
-            mock.patch.object(sequence._Windows, "sums", failing_sums):
-        with pytest.raises(ZeroDivisionError, match="worker failed"):
-            bohr_mean(seq, 400.0)
-    # failing 0 fails on the calling thread, failing 1 on the pool thread
-    assert len(failed_in) == 1
-    assert (failed_in[0] is threading.main_thread()) == (failing == 0)
-    assert threading.active_count() == baseline
+        baseline = threading.active_count()
+        with mock.patch.object(sequence, "_usable_cpus", lambda: 2), \
+                mock.patch.object(sequence, "_WINDOW_EVENTS", 16), \
+                mock.patch.object(sequence._Windows, "buffers", failing_buffers):
+            with pytest.raises(ZeroDivisionError, match="worker failed"):
+                reduce()
+        # failing 0 fails on the calling thread, failing 1 on the pool thread
+        assert len(failed_in) == 1, name
+        assert (failed_in[0] is threading.main_thread()) == (failing == 0)
+        assert threading.active_count() == baseline
+
+
+def test_a_one_window_spectrum_runs_on_several_threads():
+    # the canonical analyze spectrum: one window at h = 1e4, 129 lams
+    pair = _genus1_pair(1e4)
+    seq, lams = pair.sequence_a, np.linspace(-8.0, 8.0, 129)
+    expected = _scheduled(lambda: fourier_spectrum(seq, lams, 1e4).tolist(), 1)
+    assert expected.windows == 1
+    for workers in (2, 3, 4):
+        entered, both = set(), threading.Event()
+
+        def gated(*args, terms=sequence._window_terms):
+            # a thread holds its first task until another thread has one too
+            entered.add(threading.current_thread())
+            if len(entered) > 1:
+                both.set()
+            assert both.wait(timeout=60.0)
+            return terms(*args)
+
+        with mock.patch.object(sequence, "_window_terms", gated):
+            run = _scheduled(lambda: fourier_spectrum(seq, lams, 1e4).tolist(), workers)
+        assert len({thread for thread, _, _ in run.tasks}) > 1
+        assert run.values == expected.values
+        _assert_every_task_taken_once(run, lams, workers)
 
 
 def _largest_running_phase(pair, t):

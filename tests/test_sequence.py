@@ -168,6 +168,25 @@ class TestPhaseAt:
         seq = make_seq(1, (-1, 1), betas, (1.0, math.sqrt(2.0)), 1e8)
         assert circular_distance(phase_at(seq, tau), phase_fraction(seq, tau)) <= 1e-15
 
+    @pytest.mark.parametrize("tau", [1e4, 1e6, 1e8])
+    def test_vectorized_within_its_dot_product_rounding_bound(self, tau):
+        # phase_at_many reduces the float dot product n @ increments, whose
+        # error grows with the counts.  For k terms it is at most
+        # gamma_k * sum|n_i * inc_i|, gamma_k = k u / (1 - k u) with u the
+        # unit roundoff (increments of the -1, 1 chain are exact and so are
+        # counts below 2**53); the mod adds one rounding of a value below
+        # 2 pi, and rounding the exact reference to a float another.
+        betas = (TWO_PI * (PHI % 1.0), TWO_PI * (math.sqrt(3.0) % 1.0))
+        seq = make_seq(1, (-1, 1), betas, (1.0, math.sqrt(2.0)), 1e8)
+        _, periods, increments = seq._active_arrays()
+        u = 2.0**-53
+        gamma_k = increments.size * u / (1.0 - increments.size * u)
+        taus = np.linspace(tau / 2.0, tau, 9)
+        for t, got in zip(taus.tolist(), phase_at_many(seq, taus).tolist()):
+            counts = sequence._completed_windings(t, periods)
+            bound = gamma_k * float(np.sum(np.abs(counts * increments))) + 2.0 * u * TWO_PI
+            assert circular_distance(got, phase_fraction(seq, t)) <= bound
+
     def test_active_period_count_bounded_by_basis(self):
         rng = np.random.default_rng(55)
         for _ in range(100):
@@ -298,7 +317,7 @@ class TestFourierBohrCoefficient:
         def no_windows(*args, **kwargs):
             raise AssertionError("an empty spectrum needs no window")
 
-        monkeypatch.setattr(sequence, "_windows", no_windows)
+        monkeypatch.setattr(sequence, "_Windows", no_windows)
         empty = fourier_spectrum(seq, [], 150.0)
         assert empty.dtype == complex and empty.shape == (0,)
         for bad_t in (0.0, 250.0, math.nan):
