@@ -223,16 +223,72 @@ def _assert_every_task_taken_once(run, lams, workers):
     assert threading.main_thread() in run.threads
 
 
-def _reductions(pair, seq, t, lams, horizons, theta_a=0.3, theta_b=1.1):
-    """{name: (lams, call)} for every reduction the scheduler runs."""
+def _sums(pair, seq, t, horizons, theta_a=0.3, theta_b=1.1):
+    """{name: (lams, call)} for the lam = 0 reductions the scheduler runs."""
     return {
         "bohr_mean": ((0.0,), lambda: [bohr_mean(seq, t)]),
-        "fourier_spectrum": (lams, lambda: fourier_spectrum(seq, lams, t).tolist()),
         "residual_curve": (
             (0.0,),
             lambda: [r for _, r in residual_curve(pair, theta_a, theta_b, horizons)],
         ),
     }
+
+
+def _spectrum(seq, lams, t):
+    """(lams, call) for fourier_spectrum on the scheduler."""
+    return lams, lambda: fourier_spectrum(seq, lams, t).tolist()
+
+
+def _reductions(pair, seq, t, lams, horizons):
+    """{name: (lams, call)} for every reduction the scheduler runs."""
+    return {**_sums(pair, seq, t, horizons), "fourier_spectrum": _spectrum(seq, lams, t)}
+
+
+def _one_thread_run(lams, reduce):
+    """reduce() on one thread, after checking that 2-4 workers keep its bits and take every task once."""
+    runs = {workers: _scheduled(reduce, workers) for workers in (1, 2, 3, 4)}
+    assert set(runs[1].threads) == {threading.main_thread()}
+    for workers, run in runs.items():
+        assert run.values == runs[1].values
+        _assert_every_task_taken_once(run, lams, workers)
+    return runs[1]
+
+
+def _assert_bits_kept_under_fast_switching(lams, reduce):
+    # more workers than cores, many tasks and a thread switch about every
+    # microsecond: a task built in another thread's buffers, or a row
+    # folded out of window order, changes bits
+    expected = _scheduled(reduce, 1)
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        run = _scheduled(reduce, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert run.values == expected.values
+    assert len(run.threads) == 8
+    _assert_every_task_taken_once(run, lams, 8)
+
+
+def _assert_worker_error_propagates(failing, reduce):
+    """A failing task loop (0: the caller's, 1: the pool thread's) raises and leaves no thread."""
+    buffers, failed_in = sequence._Windows.buffers, []
+
+    def failing_buffers(self):
+        if (threading.current_thread() is threading.main_thread()) == (failing == 0):
+            failed_in.append(threading.current_thread())
+            raise ZeroDivisionError("worker failed")
+        return buffers(self)
+
+    baseline = threading.active_count()
+    with mock.patch.object(sequence, "_usable_cpus", lambda: 2), \
+            mock.patch.object(sequence, "_WINDOW_EVENTS", 16), \
+            mock.patch.object(sequence._Windows, "buffers", failing_buffers):
+        with pytest.raises(ZeroDivisionError, match="worker failed"):
+            reduce()
+    assert len(failed_in) == 1
+    assert (failed_in[0] is threading.main_thread()) == (failing == 0)
+    assert threading.active_count() == baseline
 
 
 def _genus2_pair(horizon):
@@ -257,16 +313,46 @@ def _genus1_pair(horizon=500.0):
 
 @PROPERTY
 @given(data=st.data(), pair=pairs(), window_events=st.integers(1, 64))
+def test_spectrum_is_bit_identical_for_every_worker_count(data, pair, window_events):
+    seq = data.draw(st.sampled_from([pair.sequence_a, pair.sequence_b, pair.difference]))
+    t = data.draw(st.floats(0.5, pair.horizon))
+    # both zeros, and 2 to 6 lams: fewer than, as many as and more than 1-4 workers
+    drawn = data.draw(st.lists(st.floats(-20.0, 20.0), max_size=4))
+    lams = data.draw(st.permutations([-0.0, 0.0] + drawn))
+    _, reduce = _spectrum(seq, lams, t)
+    # small windows, then the default: one window at these horizons
+    for events in (window_events, sequence._WINDOW_EVENTS):
+        with mock.patch.object(sequence, "_WINDOW_EVENTS", events):
+            one_thread = _one_thread_run(lams, reduce)
+            mean = _hexes([bohr_mean(seq, t)])[0]
+        # lam = 0 and lam = -0.0 are the Bohr mean, bit for bit
+        assert all(v == mean for lam, v in zip(lams, one_thread.values) if lam == 0.0)
+    # in one window, the oracle's segment table
+    assert one_thread.windows == 1
+    assert reduce() == [fourier_coefficient_scalar(seq, lam, t) for lam in lams]
+
+
+def test_spectrum_threads_lose_no_update_under_fast_switching():
+    seq = _genus2_pair(300.0).sequence_a
+    lams = np.concatenate(([-0.0, 0.0], np.linspace(-6.0, 6.0, 19)))
+    with mock.patch.object(sequence, "_WINDOW_EVENTS", 8):
+        _assert_bits_kept_under_fast_switching(*_spectrum(seq, lams, 300.0))
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_spectrum_worker_error_propagates_and_threads_end(failing):
+    _, reduce = _spectrum(_genus1_pair().sequence_a, [0.0, 0.5, 1.0, 1.5], 400.0)
+    _assert_worker_error_propagates(failing, reduce)
+
+
+@PROPERTY
+@given(data=st.data(), pair=pairs(), window_events=st.integers(1, 64))
 def test_window_sums_are_bit_identical_for_every_worker_count(data, pair, window_events):
     seq = data.draw(st.sampled_from([pair.sequence_a, pair.sequence_b, pair.difference]))
     t = data.draw(st.floats(0.5, pair.horizon))
-    # both zeros, and 1 to 6 lams: fewer than, as many as and more than 1-4 workers
-    drawn = data.draw(st.lists(st.floats(-20.0, 20.0), max_size=4))
-    lams = data.draw(st.permutations([-0.0, 0.0] + drawn))
     horizons = sorted(data.draw(st.lists(st.floats(0.5, pair.horizon), min_size=1, max_size=4)))
     a1, a2, b1, b2 = (data.draw(st.floats(-10.0, 10.0)) for _ in range(4))
     settings_ = [(a1, b1), (a1, b2), (a2, b1), (a2, b2)]
-    reductions = _reductions(pair, seq, t, lams, horizons, a1, b1)
 
     def through_the_memo():
         corr._memo_moment.cache_clear()
@@ -279,40 +365,18 @@ def test_window_sums_are_bit_identical_for_every_worker_count(data, pair, window
     for events in (window_events, sequence._WINDOW_EVENTS):
         with mock.patch.object(sequence, "_WINDOW_EVENTS", events):
             memo_bits = _scheduled(through_the_memo, 1).values
-            for name, (lams_, reduce) in reductions.items():
-                runs = {workers: _scheduled(reduce, workers) for workers in (1, 2, 3, 4)}
-                assert set(runs[1].threads) == {threading.main_thread()}
-                for workers, run in runs.items():
-                    assert run.values == runs[1].values, name
-                    _assert_every_task_taken_once(run, lams_, workers)
-                if name == "fourier_spectrum":
-                    # lam = 0 and lam = -0.0 are the Bohr mean, bit for bit
-                    mean = _hexes([bohr_mean(seq, t)])[0]
-                    assert all(v == mean for lam, v in zip(lams, runs[1].values) if lam == 0.0)
+            for lams, reduce in _sums(pair, seq, t, horizons, a1, b1).values():
+                _one_thread_run(lams, reduce)
             for workers in (2, 3, 4):
                 assert _scheduled(through_the_memo, workers).values == memo_bits
     corr._memo_moment.cache_clear()
 
 
 def test_window_sums_keep_their_bits_under_fast_switching():
-    # more workers than cores, many tasks and a thread switch about every
-    # microsecond: a task built in another thread's buffers, or a row
-    # folded out of window order, changes bits
     pair = _genus2_pair(300.0)
-    lams = np.concatenate(([-0.0, 0.0], np.linspace(-6.0, 6.0, 19)))
-    reductions = _reductions(pair, pair.sequence_a, 300.0, lams, [10.0, 77.7, 300.0])
     with mock.patch.object(sequence, "_WINDOW_EVENTS", 8):
-        for name, (lams_, reduce) in reductions.items():
-            expected = _scheduled(reduce, 1)
-            interval = sys.getswitchinterval()
-            try:
-                sys.setswitchinterval(1e-6)
-                run = _scheduled(reduce, 8)
-            finally:
-                sys.setswitchinterval(interval)
-            assert run.values == expected.values, name
-            assert len(run.threads) == 8
-            _assert_every_task_taken_once(run, lams_, 8)
+        for lams, reduce in _sums(pair, pair.sequence_a, 300.0, [10.0, 77.7, 300.0]).values():
+            _assert_bits_kept_under_fast_switching(lams, reduce)
 
 
 def test_a_held_back_worker_leaves_its_windows_to_the_caller():
@@ -349,27 +413,8 @@ def test_a_held_back_worker_leaves_its_windows_to_the_caller():
 @pytest.mark.parametrize("failing", [0, 1])
 def test_window_worker_error_propagates_and_threads_end(failing):
     pair = _genus1_pair()
-    reductions = _reductions(pair, pair.sequence_a, 400.0, [0.0, 0.5, 1.0, 1.5], [10.0, 400.0])
-    buffers = sequence._Windows.buffers
-    for name, (_, reduce) in reductions.items():
-        failed_in = []
-
-        def failing_buffers(self):
-            if (threading.current_thread() is threading.main_thread()) == (failing == 0):
-                failed_in.append(threading.current_thread())
-                raise ZeroDivisionError("worker failed")
-            return buffers(self)
-
-        baseline = threading.active_count()
-        with mock.patch.object(sequence, "_usable_cpus", lambda: 2), \
-                mock.patch.object(sequence, "_WINDOW_EVENTS", 16), \
-                mock.patch.object(sequence._Windows, "buffers", failing_buffers):
-            with pytest.raises(ZeroDivisionError, match="worker failed"):
-                reduce()
-        # failing 0 fails on the calling thread, failing 1 on the pool thread
-        assert len(failed_in) == 1, name
-        assert (failed_in[0] is threading.main_thread()) == (failing == 0)
-        assert threading.active_count() == baseline
+    for _, reduce in _sums(pair, pair.sequence_a, 400.0, [10.0, 400.0]).values():
+        _assert_worker_error_propagates(failing, reduce)
 
 
 def test_a_one_window_spectrum_runs_on_several_threads():
