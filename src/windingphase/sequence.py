@@ -16,10 +16,10 @@ moment and residual curve built on them) are integrals of e^{i Phi} against
 e^{-i lam tau}, the Bohr mean being lam = 0.  They share one segment kernel
 (``_window_terms``), applied window by window, each window holding about
 ``_WINDOW_EVENTS`` events and starting from the phase of its integer winding
-counts reduced exactly mod 2*pi, and one scheduler (``_window_integrals``):
-one thread per usable CPU, each with buffers of its own, takes the next
-untaken (window, lam block) task, and the caller folds the rows in window
-order, so every result has the bits of a one-thread pass.
+counts reduced exactly mod 2*pi, and one scheduler (``_run_tasks``): one
+thread per usable CPU, each with state of its own, takes the next untaken
+task ((window, lam block) pairs, or the almost-period scan's shifts), and the
+results are folded in task order, so they have the bits of a one-thread pass.
 """
 
 from __future__ import annotations
@@ -349,53 +349,69 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _window_integrals(seq: PhaseSequence, lams, t: float, edges=()):
-    """(ends, rows): every window of [0, t]'s end time and its _window_terms row.
+def _run_tasks(tasks, count: int, state, run) -> None:
+    """run(state(), *task) for each task tuple of the iterator ``tasks`` (``count`` of them).
 
-    ``rows[j, k]`` is window j's integral for ``lams[k]``.  The work is split
-    into (window j, lam block) tasks, with min(len(lams), ceil(cpus / window
-    count)) contiguous lam blocks so that even one window gives every usable
-    CPU a task.  n = min(task count, usable CPUs) threads, this one and a pool
-    of n - 1 made for the call, each with buffers of its own, take the next
-    untaken task in window-major order from one shared iterator, so a thread
-    that the OS (or a hypervisor) holds back delays the others by at most
-    the task it is on.  A row holds the same bits whichever thread wrote it,
-    so folding the rows in window order gives the bits of a one-thread pass.
-    The threads call no function that perfbench/spans.py wraps: its span
-    stack belongs to one thread.
+    min(count, usable CPUs) threads, this one and a pool made for the call,
+    each call state() once, then take the next untaken task under one lock,
+    so a thread the OS holds back delays the others by at most its task.
+    Once a thread raises, none takes another task; the first error is raised
+    again after every thread has ended.  The threads must call nothing that
+    perfbench/spans.py wraps: its span stack belongs to one thread.
     """
-    lams = np.asarray(lams, dtype=float)
-    windows = _Windows(seq, t, edges)
-    m, k, cpus = len(windows), lams.size, _usable_cpus()
-    blocks = min(k, -(-cpus // m))
-    tasks = itertools.product(
-        range(m), [slice(k * b // blocks, k * (b + 1) // blocks) for b in range(blocks)]
-    )
-    rows = np.empty((m, k), dtype=complex)
-    lock = threading.Lock()
+    lock, errors = threading.Lock(), []
 
-    def work():
-        buffers = windows.buffers()
-        while True:
-            with lock:
-                task = next(tasks, None)
-            if task is None:
-                return
-            j, block = task
-            rows[j, block] = _window_terms(lams[block], *windows.build(j, buffers), buffers)
+    def loop():
+        try:
+            own = state()
+            while True:
+                with lock:
+                    task = None if errors else next(tasks, None)
+                if task is None:
+                    return
+                run(own, *task)
+        except BaseException as error:  # raised again once every thread has ended
+            errors.append(error)
 
-    n = min(m * blocks, cpus)
+    n = min(count, _usable_cpus())
     if n <= 1:
-        work()
+        loop()
     else:
         # imported here, so only a call split over several threads loads it
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(n - 1) as pool:
-            others = [pool.submit(work) for _ in range(n - 1)]
-            work()
-            for other in others:
-                other.result()
+            others = [pool.submit(loop) for _ in range(n - 1)]
+            loop()
+        for other in others:
+            other.result()
+    if errors:
+        raise errors[0]
+
+
+def _window_integrals(seq: PhaseSequence, lams, t: float, edges=()):
+    """(ends, rows): every window of [0, t]'s end time and its _window_terms row.
+
+    ``rows[j, k]`` is window j's integral for ``lams[k]``.  The tasks are
+    (window j, lam block) pairs in window-major order, with min(len(lams),
+    ceil(cpus / window count)) lam blocks so that even one window gives every
+    usable CPU a task; each thread builds windows into buffers of its own.  A
+    row's bits do not depend on its thread, so folding the rows in window
+    order gives the bits of a one-thread pass.
+    """
+    lams = np.asarray(lams, dtype=float)
+    windows = _Windows(seq, t, edges)
+    m, k = len(windows), lams.size
+    blocks = min(k, -(-_usable_cpus() // m))
+    tasks = itertools.product(
+        range(m), [slice(k * b // blocks, k * (b + 1) // blocks) for b in range(blocks)]
+    )
+    rows = np.empty((m, k), dtype=complex)
+
+    def work(buffers, j, block):
+        rows[j, block] = _window_terms(lams[block], *windows.build(j, buffers), buffers)
+
+    _run_tasks(tasks, m * blocks, windows.buffers, work)
     return windows.cuts[1:].tolist(), rows
 
 
@@ -515,13 +531,15 @@ def find_almost_periods(
     float artifacts of shifted event times and are skipped.
 
     Each shift's window is evaluated in consecutive blocks: the first holds
-    the first 64 base event times, each later block four times as many, and
-    the last ends at the window end.  Every block edge is a base event time
-    (or 0 or the window end), so it is a cut of the whole window's partition,
-    and the blocks' segments are exactly the whole window's segments with the
-    same midpoints.  The running maximum over the blocks is therefore the
-    whole-window supremum bit for bit, and the first block over ``epsilon``
-    rejects the shift with the verdict the whole window would give.
+    the first 64 base event times, each later block four times as many up to
+    _WINDOW_EVENTS (bounding each thread's arrays), and the last ends at the
+    window end.  Every block edge is a base event time (or 0 or the window
+    end), so a cut of the whole window's partition: the blocks' segments are
+    the whole window's, with the same midpoints.  The running maximum over
+    the blocks is thus the whole-window supremum bit for bit, and the first
+    block over ``epsilon`` rejects the shift as the whole window would.  The
+    shifts are _run_tasks tasks, each result stored at its shift's index, so
+    the report equals a one-thread scan's; a passing shift costs O(horizon).
     """
     epsilon = float(epsilon)
     if not math.isfinite(epsilon) or epsilon <= 0.0:
@@ -555,10 +573,11 @@ def find_almost_periods(
     while first + size < base_times.size:
         x1 = base_times[first + size - 1]
         blocks.append((x1, np.concatenate(([x0], base_times[first : first + size]))))
-        x0, first, size = x1, first + size, 4 * size
+        x0, first, size = x1, first + size, min(4 * size, _WINDOW_EVENTS)
     blocks.append((window_end, np.concatenate(([x0], base_times[first:], [window_end]))))
-    passing = []
-    for shift in candidates:
+    worsts = [None] * candidates.size
+
+    def scan(_, i, shift):
         lo, hi = np.searchsorted(times, (shift, shift + window_end), side="right")
         worst = None
         for x1, base_cuts in blocks:
@@ -576,11 +595,12 @@ def find_almost_periods(
             if block is None:
                 continue
             if block > epsilon:
-                break
+                return
             worst = block if worst is None else max(worst, block)
-        else:
-            if worst is not None:
-                passing.append(AlmostPeriodCandidate(float(shift), worst))
+        worsts[i] = worst
+
+    _run_tasks(enumerate(candidates), candidates.size, lambda: None, scan)
+    passing = [AlmostPeriodCandidate(float(s), w) for s, w in zip(candidates, worsts) if w is not None]
     return AlmostPeriodReport(
         epsilon=epsilon,
         candidates=tuple(passing),

@@ -135,11 +135,13 @@ class TestSubcommands:
         })
         cfg_path = tmp_path / "g2.json"
         save_config(cfg, cfg_path)
-        evaluated, shifts = [0], set()
+        # shifts are scanned on several threads: list.append and set.add
+        # lose no update, where a shared running total could
+        sizes, shifts = [], set()
         block = sequence._block_discrepancy
 
         def counting_block(cuts, shift, *rest):
-            evaluated[0] += cuts.size
+            sizes.append(cuts.size)
             shifts.add(float(shift))
             return block(cuts, shift, *rest)
 
@@ -153,7 +155,7 @@ class TestSubcommands:
         # A whole-window scan merges the base event times with about as many
         # shifted ones for every shift; blocks that reject early cut that
         # to a small fraction.
-        assert evaluated[0] <= 0.02 * len(shifts) * 2 * base
+        assert sum(sizes) <= 0.02 * len(shifts) * 2 * base
 
     def test_correlate_genus0_rows_satisfy_closed_form(self, tmp_path):
         cfg_path, _ = genus0_config(tmp_path)

@@ -139,11 +139,15 @@ def test_blockwise_scan_matches_whole_window_oracle(data, seq):
     assert got == expected
 
     # Each shift's blocks share their edges and together hold exactly the
-    # whole window's cuts up to the last block evaluated.
+    # whole window's cuts up to the last block evaluated.  Shifts run on
+    # several threads, so one shift's blocks need not be consecutive in the
+    # record; within a shift they are in scan order.
     times = np.unique(sequence.event_arrays(seq, 0.0, seq.horizon)[0])
     window_end = expected.window[1]
-    for shift, group in itertools.groupby(blocks, key=lambda b: b[0]):
-        cut_sets = [cuts for _, cuts in group]
+    per_shift = {}
+    for shift, cuts in blocks:
+        per_shift.setdefault(shift, []).append(cuts)
+    for shift, cut_sets in per_shift.items():
         assert all(a[-1] == b[0] for a, b in zip(cut_sets, cut_sets[1:]))
         lo, hi = np.searchsorted(times, (shift, shift + window_end), side="right")
         whole = np.unique(np.concatenate(([0.0], times, times[lo:hi] - shift, [window_end])))
@@ -439,6 +443,175 @@ def test_a_one_window_spectrum_runs_on_several_threads():
         assert len({thread for thread, _, _ in run.tasks}) > 1
         assert run.values == expected.values
         _assert_every_task_taken_once(run, lams, workers)
+
+
+def _scan_sequence(horizon=2000.0):
+    """A genus-2 sequence with small increments: short shifts pass epsilon 0.5, long ones fail."""
+    surface = SurfaceSpec(2)
+    assign = CycleAssignment(
+        surface, (0.03, 0.05, 0.02, 0.04), (1.0, math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0))
+    )
+    return PhaseSequence(surface, WindingChain(surface, (1, 1, 1, 1)), assign, horizon)
+
+
+_SCAN = (0.5, 10.0, 1.0)  # epsilon, search_bound, sample_step
+
+
+class _Scan:
+    """What one almost-period scan did: its report and, per shift, the threads and blocks."""
+
+    def __init__(self):
+        self.report, self.threads, self.blocks = None, {}, {}
+
+
+def _scanned(seq, workers, gate=False):
+    """find_almost_periods(seq, *_SCAN) with ``workers`` usable CPUs, recording every block.
+
+    With ``gate``, a pool thread holds its first block until the caller has
+    started a shift, so the caller scans at least one.
+    """
+    run, evaluate, caller_started = _Scan(), sequence._block_discrepancy, threading.Event()
+
+    def recording_block(cuts, shift, *rest):
+        thread = threading.current_thread()
+        if thread is threading.main_thread():
+            caller_started.set()
+        elif gate:
+            assert caller_started.wait(timeout=60.0)
+        run.threads.setdefault(float(shift), set()).add(thread)
+        run.blocks.setdefault(float(shift), []).append(np.unique(cuts))
+        return evaluate(cuts, shift, *rest)
+
+    with mock.patch.object(sequence, "_usable_cpus", lambda: workers), \
+            mock.patch.object(sequence, "_block_discrepancy", recording_block):
+        run.report = find_almost_periods(seq, *_SCAN)
+    return run
+
+
+def test_almost_period_scan_is_equal_for_every_worker_count():
+    seq = _scan_sequence()
+    runs = {workers: _scanned(seq, workers, gate=True) for workers in (1, 2, 3, 4)}
+    expected = runs[1].report
+    # passing and failing shifts, over windows of several blocks
+    assert 0 < len(expected.candidates) < expected.scanned
+    assert max(len(blocks) for blocks in runs[1].blocks.values()) > 3
+    assert expected == almost_periods_whole_window(seq, *_SCAN)
+    assert set().union(*runs[1].threads.values()) == {threading.main_thread()}
+    for workers, run in runs.items():
+        assert run.report == expected
+        # every candidate scanned by exactly one thread, the caller among them
+        assert len(run.threads) == expected.scanned
+        assert all(len(threads) == 1 for threads in run.threads.values())
+        scanners = set().union(*run.threads.values())
+        assert threading.main_thread() in scanners and len(scanners) <= workers
+
+
+def test_almost_period_scan_is_equal_under_fast_switching():
+    seq = _scan_sequence()
+    expected = _scanned(seq, 1).report
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        run = _scanned(seq, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert run.report == expected
+    assert len(run.threads) == expected.scanned
+    assert all(len(threads) == 1 for threads in run.threads.values())
+
+
+def test_capped_scan_blocks_end_at_base_event_times():
+    seq = _scan_sequence()
+    expected = _scanned(seq, 1).report
+    with mock.patch.object(sequence, "_WINDOW_EVENTS", 64):
+        run = _scanned(seq, 2)
+    assert run.report == expected == almost_periods_whole_window(seq, *_SCAN)
+    window_end = expected.window[1]
+    times = np.unique(sequence.event_arrays(seq, 0.0, seq.horizon)[0])
+    edges = set(times[times <= window_end].tolist()) | {0.0, window_end}
+    passing = {c.shift for c in expected.candidates}
+    for shift, blocks in run.blocks.items():
+        assert all(a[-1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all(b[0] in edges and b[-1] in edges for b in blocks)
+        if shift in passing:
+            # scanned to the window end in blocks of at most 64 base event times
+            assert blocks[-1][-1] == window_end
+            assert len(blocks) >= np.searchsorted(times, window_end, side="right") / 64
+
+
+def test_a_one_cpu_scan_starts_no_pool_thread():
+    seq = _scan_sequence()
+    baseline = threading.active_count()
+    with mock.patch("concurrent.futures.ThreadPoolExecutor") as pool:
+        run = _scanned(seq, 1)
+    pool.assert_not_called()
+    assert set().union(*run.threads.values()) == {threading.main_thread()}
+    assert threading.active_count() == baseline
+
+
+def _assert_a_failure_stops_the_tasks(workers, reduce, total, name, starts_task):
+    """reduce() with ``workers`` usable CPUs, where sequence.<name> fails on its first call.
+
+    ``starts_task(*args)`` says whether a call of sequence.<name> is the
+    first of a task.  The error reaches the caller after every thread has
+    ended, and after it no thread starts more than the one task it may have
+    taken just before: far fewer than the ``total`` tasks.
+    """
+    record, lock, calls = [], threading.Lock(), itertools.count()
+    original = getattr(sequence, name)
+
+    def failing_first(*args):
+        with lock:
+            if starts_task(*args):
+                record.append(("start", threading.current_thread()))
+            first = next(calls) == 0
+            if first:
+                record.append(("failed", threading.current_thread()))
+        if first:
+            raise ZeroDivisionError("task failed")
+        return original(*args)
+
+    baseline = threading.active_count()
+    with mock.patch.object(sequence, "_usable_cpus", lambda: workers), \
+            mock.patch.object(sequence, name, failing_first):
+        with pytest.raises(ZeroDivisionError, match="task failed"):
+            reduce()
+    assert threading.active_count() == baseline
+    # the failing call holds the lock first, so it started the first task
+    assert [kind for kind, _ in record[:2]] == ["start", "failed"]
+    after = [thread for _, thread in record[2:]]
+    assert record[1][1] not in after
+    assert all(after.count(thread) <= 1 for thread in after)
+    assert len(after) <= workers - 1 and 1 + len(after) < total
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_a_failing_window_stops_every_thread_taking_windows(workers):
+    seq = _genus2_pair(300.0).sequence_a
+    with mock.patch.object(sequence, "_WINDOW_EVENTS", 16):
+        windows = len(sequence._Windows(seq, 300.0))
+        assert windows >= 40
+        # one _window_terms call per (window, lam block) task
+        _assert_a_failure_stops_the_tasks(
+            workers, lambda: bohr_mean(seq, 300.0), windows, "_window_terms", lambda *_: True
+        )
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_a_failing_shift_stops_every_thread_taking_shifts(workers):
+    seq = _scan_sequence()
+    scanned = find_almost_periods(seq, *_SCAN).scanned
+    assert scanned >= 20
+    seen = set()
+
+    def first_block(cuts, shift, *rest):
+        new = float(shift) not in seen
+        seen.add(float(shift))
+        return new
+
+    _assert_a_failure_stops_the_tasks(
+        workers, lambda: find_almost_periods(seq, *_SCAN), scanned, "_block_discrepancy", first_block
+    )
 
 
 def _largest_running_phase(pair, t):
