@@ -144,6 +144,9 @@ def _run_analyze(config, out_dir):
     # the scan's fallback grid of shifts; a subnormal step overflows it to inf
     grid = search_bound / config.sample_step
     _guard_events(math.floor(grid) if math.isfinite(grid) else grid)
+    # the randomness samples and the spectrum's lams are arrays of that length
+    _guard_events(config.n_samples)
+    _guard_events(config.spectrum_lambda_count)
 
     ap = find_almost_periods(seq, config.epsilon, search_bound, config.sample_step)
     yield "almost_periods.csv", functools.partial(
@@ -184,6 +187,7 @@ def _run_correlate(config, out_dir):
     t = config.resolved().correlation_time
     pair = _guard_pair(config, t)
     n = config.angle_grid_size
+    _guard_events(n * n)
     thetas = [2.0 * math.pi * k / n for k in range(n)]
     grid = correlations(pair, [(ta, tb) for ta in thetas for tb in thetas], t)
     yield "correlate.csv", functools.partial(
@@ -213,11 +217,6 @@ def _run_chsh(config, out_dir):
     )
 
 
-def _read_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def _write_lines(path, lines) -> int:
     """Write ``lines`` joined by newlines; returns the file's newline count (``wc -l``)."""
     text = "\n".join(lines)
@@ -228,11 +227,11 @@ def _write_lines(path, lines) -> int:
 
 def _run_report(config, out_dir):
     digest = config_digest(config)
-    lines = ["experiment summary", f"config digest: {digest}", ""]
-    found = False
-    for name, (_, _, summarize) in SUBCOMMANDS.items():
+    header = ["experiment summary", f"config digest: {digest}", ""]
+    lines = list(header)
+    for name in SUBCOMMANDS:
         mpath = _manifest_path(out_dir, name)
-        if summarize is None or not os.path.exists(mpath):
+        if name == "report" or not os.path.exists(mpath):
             continue
         try:
             manifest = load_manifest(mpath)
@@ -245,20 +244,21 @@ def _run_report(config, out_dir):
                 f"{mpath}: written under a different config "
                 f"(digest {manifest.config_digest})"
             )
-        found = True
         lines.append(f"[{name}] {len(manifest.files)} file(s), digests verified")
+        lines.extend(f"  {record.name}: {record.rows} row(s)" for record in manifest.files)
         for record in manifest.files:
-            lines.append(f"  {record.name}: {record.rows} row(s)")
-        lines.extend(summarize(out_dir))
+            if record.name in _SUMMARIES:
+                with open(os.path.join(out_dir, record.name), encoding="utf-8", newline="") as fh:
+                    lines.extend(_SUMMARIES[record.name](list(csv.DictReader(fh))))
         lines.append("")
-    if not found:
-        lines.append("no prior subcommand outputs found in this directory")
-        lines.append("")
+    if lines == header:
+        lines += ["no prior subcommand outputs found in this directory", ""]
     yield "summary.txt", functools.partial(_write_lines, lines=lines)
 
 
-def _summarize_analyze(out_dir) -> List[str]:
-    rows = _read_csv(os.path.join(out_dir, "almost_periods.csv"))
+# Each summary maps a table's rows to its lines in summary.txt; an empty
+# table gets no line, except the count of almost-period candidates.
+def _summarize_almost_periods(rows) -> List[str]:
     lines = [f"  almost-period candidates passing: {len(rows)}"]
     if rows:
         best = min(rows, key=lambda r: float(r["discrepancy"]))
@@ -266,55 +266,59 @@ def _summarize_analyze(out_dir) -> List[str]:
             f"  best shift {float(best['tau_star']):g} "
             f"(discrepancy {float(best['discrepancy']):.3e})"
         )
-    rnd = _read_csv(os.path.join(out_dir, "randomness.csv"))
-    if rnd:
-        r = rnd[0]
-        lines.append(
-            f"  monobit p = {float(r['monobit_p']):.4f}, "
-            f"permutation entropy = {float(r['permutation_entropy']):.4f} "
-            f"({r['sample_count']} samples)"
-        )
     return lines
 
 
-def _summarize_correlate(out_dir) -> List[str]:
-    rows = _read_csv(os.path.join(out_dir, "correlate.csv"))
+def _summarize_randomness(rows) -> List[str]:
+    return [
+        f"  monobit p = {float(r['monobit_p']):.4f}, "
+        f"permutation entropy = {float(r['permutation_entropy']):.4f} "
+        f"({r['sample_count']} samples)"
+        for r in rows[:1]
+    ]
+
+
+def _summarize_correlate(rows) -> List[str]:
     if not rows:
         return []
     worst = max(abs(float(r["residual"])) for r in rows)
     return [f"  correlation grid: {len(rows)} settings, max |residual| = {worst:.6f}"]
 
 
-def _summarize_residual(out_dir) -> List[str]:
-    rows = _read_csv(os.path.join(out_dir, "residual.csv"))
-    if not rows:
-        return []
-    last = rows[-1]
-    return [f"  residual at t = {float(last['t']):g}: {float(last['residual']):.6f}"]
+def _summarize_residual(rows) -> List[str]:
+    return [f"  residual at t = {float(r['t']):g}: {float(r['residual']):.6f}" for r in rows[-1:]]
 
 
-def _summarize_chsh(out_dir) -> List[str]:
-    rows = _read_csv(os.path.join(out_dir, "chsh.csv"))
-    if not rows:
-        return []
-    r = rows[0]
+def _summarize_chsh(rows) -> List[str]:
     return [
         f"  CHSH S = {float(r['s']):.6f} at t = {float(r['t']):g} "
         f"(settings {float(r['a1']):.4f}, {float(r['a2']):.4f}, "
         f"{float(r['b1']):.4f}, {float(r['b2']):.4f})"
+        for r in rows[:1]
     ]
 
 
-# name -> (help, runner, summary of its tables for report).  A runner yields
-# (file name, writer) pairs; a writer takes a path and returns a row count.
-# report lists the outputs of every subcommand with a summary, in this order
+# table file name -> its summary, which report appends after the file list
+# of the manifest that records the table
+_SUMMARIES = {
+    "almost_periods.csv": _summarize_almost_periods,
+    "randomness.csv": _summarize_randomness,
+    "correlate.csv": _summarize_correlate,
+    "residual.csv": _summarize_residual,
+    "chsh.csv": _summarize_chsh,
+}
+
+
+# name -> (help, runner).  A runner yields (file name, writer) pairs; a
+# writer takes a path and returns a row count.  report lists the outputs of
+# every other subcommand, in this order
 SUBCOMMANDS = {
-    "generate": ("write event logs for both sequences", _run_generate, lambda out_dir: []),
-    "analyze": ("almost-period, randomness, and spectrum tables", _run_analyze, _summarize_analyze),
-    "correlate": ("correlation E over a uniform angle grid", _run_correlate, _summarize_correlate),
-    "residual": ("residual convergence curve over horizons", _run_residual, _summarize_residual),
-    "chsh": ("four-setting CHSH statistic", _run_chsh, _summarize_chsh),
-    "report": ("aggregate prior outputs into a text summary", _run_report, None),
+    "generate": ("write event logs for both sequences", _run_generate),
+    "analyze": ("almost-period, randomness, and spectrum tables", _run_analyze),
+    "correlate": ("correlation E over a uniform angle grid", _run_correlate),
+    "residual": ("residual convergence curve over horizons", _run_residual),
+    "chsh": ("four-setting CHSH statistic", _run_chsh),
+    "report": ("aggregate prior outputs into a text summary", _run_report),
 }
 
 
@@ -330,7 +334,7 @@ def run_subcommand(config: ExperimentConfig, name: str) -> RunManifest:
     out_dir = resolve_out_dir(config)
     started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     os.makedirs(out_dir, exist_ok=True)
-    _, run, _ = SUBCOMMANDS[name]
+    _, run = SUBCOMMANDS[name]
     files = []
     for file_name, write in run(config, out_dir):
         path = os.path.join(out_dir, file_name)
@@ -354,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic experiments on winding-generated phase sequences.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in SUBCOMMANDS.items():
+    for name, (help_text, _) in SUBCOMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to the JSON config file")
         sp.add_argument("--out", help="output directory (overrides config and environment)")
@@ -372,22 +376,12 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-
-    if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            print("configuration error: --seed must be an unsigned 64-bit integer", file=sys.stderr)
-            return 1
-        config = replace(config, seed=args.seed)
-    if args.out is not None:
-        config = replace(config, out_dir=args.out)
-
-    try:
+        if args.seed is not None:
+            if not 0 <= args.seed < 2**64:
+                raise ConfigError("--seed must be an unsigned 64-bit integer")
+            config = replace(config, seed=args.seed)
+        if args.out is not None:
+            config = replace(config, out_dir=args.out)
         manifest = run_subcommand(config, args.command)
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)

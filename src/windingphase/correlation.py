@@ -46,7 +46,7 @@ from .sequence import (
     phase_at,
 )
 from .sequence import event_arrays  # noqa: F401 -- perfbench/spans.py wraps this binding
-from .topology import wrap_angle
+from .topology import _real, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -150,15 +150,9 @@ def _memo_moment(key: _MomentKey) -> Tuple[complex, int]:
     return bohr_mean(_doubled(pair.difference), t), segments
 
 
-def _check_angles(angles) -> None:
-    if not all(math.isfinite(a) for a in angles):
-        raise DomainError("angles must be finite")
-
-
 def correlations(pair: PairConfig, settings, t: float) -> Tuple[CorrelationEstimate, ...]:
     """One correlation per (theta_a, theta_b) in ``settings``, all from one M2(t)."""
-    settings = [(float(ta), float(tb)) for ta, tb in settings]
-    _check_angles(a for setting in settings for a in setting)
+    settings = [(_real("angles", ta), _real("angles", tb)) for ta, tb in settings]
     t = _check_time(pair.sequence_a, t)
     m2, segments = _memo_moment(_MomentKey(pair, t))
     out = []
@@ -190,13 +184,10 @@ def residual_curve(
     ``horizons`` must be sorted ascending, positive, and within the pair's
     horizon.  Returns (t, residual) tuples.
     """
-    theta_a, theta_b = float(theta_a), float(theta_b)
-    _check_angles((theta_a, theta_b))
-    hs = [float(h) for h in horizons]
+    theta_a, theta_b = _real("angles", theta_a), _real("angles", theta_b)
+    hs = [_check_time(pair.sequence_a, h) for h in horizons]
     if not hs:
         raise DomainError("horizons must be non-empty")
-    if any(not math.isfinite(h) or h <= 0.0 or h > pair.horizon for h in hs):
-        raise DomainError(f"horizons must lie in (0, horizon {pair.horizon}]")
     if any(b < a for a, b in zip(hs, hs[1:])):
         raise DomainError("horizons must be sorted ascending")
     rotation = cmath.exp(1j * (theta_a - theta_b))

@@ -34,7 +34,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .topology import TWO_PI, CycleAssignment, SurfaceSpec, WindingChain, _dot_mod_2pi
+from .topology import TWO_PI, CycleAssignment, SurfaceSpec, WindingChain, _dot_mod_2pi, _integer, _real
 
 # Segments thinner than this are treated as float artifacts of shifted event
 # times (see find_almost_periods) and skipped when probing suprema.
@@ -68,10 +68,7 @@ class PhaseSequence:
             raise DimensionError("chain does not live on the sequence's surface")
         if self.assignment.surface != self.surface:
             raise DimensionError("assignment does not live on the sequence's surface")
-        h = float(self.horizon)
-        if not math.isfinite(h) or h <= 0.0:
-            raise DomainError(f"horizon must be > 0 and finite, got {h!r}")
-        object.__setattr__(self, "horizon", h)
+        object.__setattr__(self, "horizon", _real("horizon", self.horizon, positive=True))
 
     @property
     def active_cycles(self) -> Tuple[int, ...]:
@@ -105,9 +102,7 @@ def _completed_windings(taus, periods):
 
 
 def _check_window(seq: PhaseSequence, t0: float, t1: float):
-    t0, t1 = float(t0), float(t1)
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise DomainError("window bounds must be finite")
+    t0, t1 = _real("t0", t0), _real("t1", t1)
     if t0 < 0.0 or not t0 < t1 or t1 > seq.horizon:
         raise DomainError(
             f"window ({t0}, {t1}] must satisfy 0 <= t0 < t1 <= horizon {seq.horizon}"
@@ -185,8 +180,8 @@ def _exact_phases(seq: PhaseSequence, counts) -> List[float]:
 
 def phase_at(seq: PhaseSequence, tau: float) -> float:
     """Accumulated phase at tau, in [0, 2*pi), from its winding counts reduced exactly."""
-    tau = float(tau)
-    if not math.isfinite(tau) or tau < 0.0 or tau > seq.horizon:
+    tau = _real("tau", tau)
+    if tau < 0.0 or tau > seq.horizon:
         raise DomainError(f"tau must lie in [0, horizon {seq.horizon}], got {tau!r}")
     _, periods, _ = seq._active_arrays()
     return _exact_phases(seq, _completed_windings([tau], periods))[0]
@@ -416,35 +411,27 @@ def _window_integrals(seq: PhaseSequence, lams, t: float, edges=()):
 
 
 def _check_time(seq: PhaseSequence, t: float) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t <= 0.0 or t > seq.horizon:
-        raise DomainError(f"t must lie in (0, horizon {seq.horizon}], got {t!r}")
-    return t
+    return _check_window(seq, 0.0, t)[1]
 
 
 def bohr_mean(seq: PhaseSequence, t: float) -> complex:
     """Time average (1/t) * integral_0^t e^{i Phi(tau)} d tau.
 
     Computed exactly as a sum over the constant segments between events, so
-    there is no sampling step to tune: the lam = 0 case of fourier_spectrum,
-    summed over the same windows (see _window_integrals), so memory stays
-    bounded and accuracy does not degrade as t grows.  The magnitude is
+    there is no sampling step to tune: the lam = 0 coefficient of
+    fourier_spectrum, summed over windows (see _window_integrals), so memory
+    stays bounded and accuracy does not degrade as t grows.  The magnitude is
     always <= 1 and equals 1 only for a phase constant on [0, t].
     """
-    t = _check_time(seq, t)
-    total = 0j
-    for row in _window_integrals(seq, (0.0,), t)[1]:
-        total += row[0]
-    return complex(total / t)
+    return complex(fourier_spectrum(seq, (0.0,), t)[0])
 
 
 def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
     """Fourier coefficients (1/t) * integral_0^t e^{i Phi(tau)} e^{-i lam tau} d tau.
 
-    One coefficient per entry of ``lams``, all from one pass over the same
-    windows as bohr_mean, each integrated in closed form on every constant
-    segment (see _window_terms).  The windows' terms are added in window
-    order, as in bohr_mean, so lam = 0 reproduces bohr_mean exactly, and the
+    One coefficient per entry of ``lams``, all from one pass over the
+    windows, each integrated in closed form on every constant segment (see
+    _window_terms).  The windows' terms are added in window order, so the
     result is bit-identical to a one-thread pass.
     """
     t = _check_time(seq, t)
@@ -541,15 +528,9 @@ def find_almost_periods(
     shifts are _run_tasks tasks, each result stored at its shift's index, so
     the report equals a one-thread scan's; a passing shift costs O(horizon).
     """
-    epsilon = float(epsilon)
-    if not math.isfinite(epsilon) or epsilon <= 0.0:
-        raise DomainError(f"epsilon must be > 0, got {epsilon!r}")
-    sample_step = float(sample_step)
-    if not math.isfinite(sample_step) or sample_step <= 0.0:
-        raise DomainError(f"sample_step must be > 0, got {sample_step!r}")
-    search_bound = float(search_bound)
-    if not math.isfinite(search_bound) or search_bound <= 0.0:
-        raise DomainError(f"search_bound must be > 0, got {search_bound!r}")
+    epsilon = _real("epsilon", epsilon, positive=True)
+    sample_step = _real("sample_step", sample_step, positive=True)
+    search_bound = _real("search_bound", search_bound, positive=True)
     if search_bound > seq.horizon / 2.0:
         raise DomainError(
             f"search_bound {search_bound} exceeds horizon/2 = {seq.horizon / 2.0}; "
@@ -685,17 +666,14 @@ def randomness_battery(
     fully determines the sample times.
     """
     t = _check_time(seq, t)
-    if isinstance(n_samples, bool) or not isinstance(n_samples, (int, np.integer)):
-        raise DomainError(f"n_samples must be an integer, got {n_samples!r}")
-    if n_samples < 1000:
-        raise DomainError(f"n_samples must be >= 1000, got {n_samples}")
+    n_samples = _integer("n_samples", n_samples, 1000)
     rng = np.random.default_rng(seed)
-    taus = np.sort(rng.uniform(0.0, t, int(n_samples)))
+    taus = np.sort(rng.uniform(0.0, t, n_samples))
     phases = phase_at_many(seq, taus)
     return score_phase_samples(
         phases,
         discretization=(
-            f"{int(n_samples)} iid uniform times on [0, {t!r}], sorted, seed={seed}; "
+            f"{n_samples} iid uniform times on [0, {t!r}], sorted, seed={seed}; "
             "bit = (phase mod 2pi) < pi; permutation entropy order 3, stable ties"
         ),
     )

@@ -42,6 +42,26 @@ def wrap_angle(angle: float) -> float:
     return a
 
 
+def _integer(name: str, value, minimum: Optional[int] = None) -> int:
+    """``value`` as an int: an exact integer (not a bool) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a finite float, and > 0 when ``positive``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(x) or (positive and x <= 0.0):
+        raise DomainError(f"{name} must be {'> 0 and ' if positive else ''}finite, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class SurfaceSpec:
     """Compact orientable surface of the given genus.
@@ -53,11 +73,7 @@ class SurfaceSpec:
     genus: int
 
     def __post_init__(self):
-        if isinstance(self.genus, bool) or not isinstance(self.genus, (int, np.integer)):
-            raise DomainError(f"genus must be an integer, got {self.genus!r}")
-        if self.genus < 0:
-            raise DomainError(f"genus must be >= 0, got {self.genus}")
-        object.__setattr__(self, "genus", int(self.genus))
+        object.__setattr__(self, "genus", _integer("genus", self.genus, 0))
 
     @property
     def basis_size(self) -> int:
@@ -72,12 +88,8 @@ class WindingChain:
     coefficients: Tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = []
-        for k, c in enumerate(self.coefficients):
-            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
-                raise DomainError(f"coefficient [{k}] must be an exact integer, got {c!r}")
-            coeffs.append(int(c))
-        object.__setattr__(self, "coefficients", tuple(coeffs))
+        coeffs = tuple(_integer(f"coefficients[{k}]", c) for k, c in enumerate(self.coefficients))
+        object.__setattr__(self, "coefficients", coeffs)
         if len(self.coefficients) != self.surface.basis_size:
             raise DimensionError(
                 f"chain has {len(self.coefficients)} coefficients, "
@@ -128,18 +140,8 @@ class CycleAssignment:
             raise DimensionError(
                 f"{len(self.periods)} periods for basis size {self.surface.basis_size}"
             )
-        betas = []
-        for k, b in enumerate(self.betas):
-            b = float(b)
-            if not math.isfinite(b):
-                raise DomainError(f"betas[{k}] must be finite, got {b!r}")
-            betas.append(wrap_angle(b))
-        periods = []
-        for k, t in enumerate(self.periods):
-            t = float(t)
-            if not math.isfinite(t) or t <= 0.0:
-                raise DomainError(f"periods[{k}] must be > 0 and finite, got {t!r}")
-            periods.append(t)
+        betas = (wrap_angle(_real(f"betas[{k}]", b)) for k, b in enumerate(self.betas))
+        periods = (_real(f"periods[{k}]", t, positive=True) for k, t in enumerate(self.periods))
         object.__setattr__(self, "betas", tuple(betas))
         object.__setattr__(self, "periods", tuple(periods))
 
@@ -151,10 +153,7 @@ class U1Phase:
     angle: float
 
     def __post_init__(self):
-        a = float(self.angle)
-        if not math.isfinite(a):
-            raise DomainError(f"angle must be finite, got {a!r}")
-        object.__setattr__(self, "angle", wrap_angle(a))
+        object.__setattr__(self, "angle", wrap_angle(_real("angle", self.angle)))
 
     @classmethod
     def identity(cls) -> "U1Phase":
@@ -294,13 +293,6 @@ class IncommensurabilityReport:
     def all_incommensurable(self) -> bool:
         return not any(v.commensurable for v in self.verdicts)
 
-    def verdict_for(self, i: int, j: int) -> PairVerdict:
-        a, b = min(i, j), max(i, j)
-        for v in self.verdicts:
-            if (v.i, v.j) == (a, b):
-                return v
-        raise KeyError(f"no verdict for pair ({i}, {j})")
-
 
 def _convergents(x: float, max_denominator: int):
     """Continued-fraction convergents p/q of x with q <= max_denominator."""
@@ -353,13 +345,8 @@ def certify_incommensurable(
     ``q <= max_denominator`` is only reachable on one side (e.g. periods
     (1, 100) at max_denominator 64).
     """
-    if isinstance(max_denominator, bool) or not isinstance(max_denominator, (int, np.integer)):
-        raise DomainError(f"max_denominator must be an integer, got {max_denominator!r}")
-    if max_denominator < 1:
-        raise DomainError(f"max_denominator must be >= 1, got {max_denominator}")
-    tolerance = float(tolerance)
-    if not math.isfinite(tolerance) or tolerance <= 0.0:
-        raise DomainError(f"tolerance must be > 0, got {tolerance!r}")
+    max_denominator = _integer("max_denominator", max_denominator, 1)
+    tolerance = _real("tolerance", tolerance, positive=True)
 
     periods = assign.periods
     verdicts = []
@@ -368,7 +355,7 @@ def certify_incommensurable(
             verdicts.append(_pair_verdict(periods, i, j, max_denominator, tolerance))
     return IncommensurabilityReport(
         periods=periods,
-        max_denominator=int(max_denominator),
+        max_denominator=max_denominator,
         tolerance=tolerance,
         verdicts=tuple(verdicts),
     )

@@ -52,3 +52,23 @@ def test_tiny_sample_step_trips_the_guard(tmp_path, capsys, step):
     assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert "resource guard" in capsys.readouterr().err
     assert not (out / "almost_periods.csv").exists()
+
+
+# Counts the config schema accepts but no run could hold in memory: each is
+# refused before the array of that length (or the grid's settings) is built.
+@pytest.mark.parametrize(
+    "subcommand, key, count, table",
+    [
+        ("analyze", "n_samples", 10**12, "almost_periods.csv"),
+        ("analyze", "spectrum_lambda_count", 10**12, "almost_periods.csv"),
+        ("correlate", "angle_grid_size", 10**5, "correlate.csv"),
+    ],
+)
+def test_huge_counts_trip_the_guard(tmp_path, capsys, subcommand, key, count, table):
+    cfg_path, _ = write_config(tmp_path, **{key: count})
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "resource guard" in err
+    assert "Traceback" not in err
+    assert not (out / table).exists()

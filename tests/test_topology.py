@@ -8,11 +8,13 @@ from windingphase import (
     CycleAssignment,
     DimensionError,
     DomainError,
+    PhaseSequence,
     SurfaceSpec,
     U1Phase,
     WindingChain,
     certify_incommensurable,
     chain_compose,
+    find_almost_periods,
     holonomy_loop,
     pairing,
     wrap_angle,
@@ -313,3 +315,23 @@ class TestCertifyIncommensurable:
             certify_incommensurable(assign, 64, 0.0)
         with pytest.raises(DomainError):
             certify_incommensurable(assign, 2.5, 1e-9)
+
+
+# A value float() cannot read is refused like any other value out of its
+# domain, by the one real rule every argument goes through.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, assign, seq: CycleAssignment(s, ("x", 0.0), (1.0, 2.0)),
+        lambda s, assign, seq: find_almost_periods(seq, None, 10.0, 1.0),
+        lambda s, assign, seq: PhaseSequence(s, seq.chain, assign, "big"),
+        lambda s, assign, seq: certify_incommensurable(assign, 64, None),
+    ],
+    ids=["beta", "epsilon", "horizon", "tolerance"],
+)
+def test_non_numbers_raise_domain_error(call):
+    s = SurfaceSpec(1)
+    assign = CycleAssignment(s, (1.0, 2.0), (1.0, math.sqrt(2.0)))
+    seq = PhaseSequence(s, WindingChain(s, (1, 1)), assign, 100.0)
+    with pytest.raises(DomainError):
+        call(s, assign, seq)
