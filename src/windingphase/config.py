@@ -141,7 +141,10 @@ def _want_scalar(value, key, rule):
     if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
         raise ConfigError(f"expected {'a number' if real else 'an integer'}, got {value!r}", key=key)
     if real:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError("must be finite, got an integer too large for a float", key=key) from None
         if not math.isfinite(value):
             raise ConfigError(f"must be finite, got {value!r}", key=key)
     if rule.positive and value <= 0.0:

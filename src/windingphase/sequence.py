@@ -18,8 +18,9 @@ e^{-i lam tau}, the Bohr mean being lam = 0.  They share one segment kernel
 ``_WINDOW_EVENTS`` events and starting from the phase of its integer winding
 counts reduced exactly mod 2*pi, and one scheduler (``_run_tasks``): one
 thread per usable CPU, each with state of its own, takes the next untaken
-task ((window, lam block) pairs, or the almost-period scan's shifts), and the
-results are folded in task order, so they have the bits of a one-thread pass.
+task ((window, lam block) pairs, or the almost-period scan's shifts, one
+round per block), and the results are folded in task order, so they have the
+bits of a one-thread pass.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ from .topology import TWO_PI, CycleAssignment, SurfaceSpec, WindingChain, _dot_m
 _SLIVER = 1e-9
 
 # Events per evaluation window: every segment reduction sums over windows of
-# about this many events, so its memory does not grow with the horizon.
+# about this many events, phase_at_many evaluates this many times per chunk
+# and the almost-period scan's blocks hold at most half as many, so their
+# memory does not grow with the horizon.
 _WINDOW_EVENTS = 1 << 14
 
 
@@ -187,8 +190,31 @@ def phase_at(seq: PhaseSequence, tau: float) -> float:
     return _exact_phases(seq, _completed_windings([tau], periods))[0]
 
 
+def _reduced_phases(taus, periods, increments) -> np.ndarray:
+    """Phi at ``taus`` from one product n @ increments of their winding counts, in [0, 2*pi)."""
+    phases = np.mod(_completed_windings(taus, periods) @ increments, TWO_PI)
+    phases[phases >= TWO_PI] = 0.0
+    return phases
+
+
+def _chunk_end(start: int, size: int) -> int:
+    """End row of the row chunk from ``start`` of a table of ``size`` rows (see phase_at_many)."""
+    return start + _WINDOW_EVENTS if size - start >= 2 * _WINDOW_EVENTS else size
+
+
 def phase_at_many(seq: PhaseSequence, taus) -> np.ndarray:
-    """Vectorized accumulated phase for an array of times, each in [0, 2*pi)."""
+    """Vectorized accumulated phase for an array of times, each in [0, 2*pi).
+
+    The (times x cycles) winding table is evaluated in row chunks, so memory
+    does not grow with the number of times: chunks of _WINDOW_EVENTS rows
+    aligned at row 0, the last one running to the end of ``taus``
+    (_WINDOW_EVENTS to 2 * _WINDOW_EVENTS - 1 rows).  These chunks give
+    every row the bits of one product over the whole table, which other
+    groupings do not: with OpenBLAS a row evaluated in a one-row call got
+    other last bits on most rows, and plain _WINDOW_EVENTS-row chunks did
+    wherever the last chunk was short.  find_almost_periods builds its event
+    table's factors in the same chunks.
+    """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if taus.size == 0:
         return np.zeros_like(taus)
@@ -197,9 +223,11 @@ def phase_at_many(seq: PhaseSequence, taus) -> np.ndarray:
     _, periods, increments = seq._active_arrays()
     if periods.size == 0:
         return np.zeros_like(taus)
-    n = _completed_windings(taus, periods)
-    phases = np.mod(n @ increments, TWO_PI)
-    phases[phases >= TWO_PI] = 0.0
+    phases, start = np.empty(taus.size), 0
+    while start < taus.size:
+        stop = _chunk_end(start, taus.size)
+        phases[start:stop] = _reduced_phases(taus[start:stop], periods, increments)
+        start = stop
     return phases
 
 
@@ -344,29 +372,61 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_tasks(tasks, count: int, state, run) -> None:
-    """run(state(), *task) for each task tuple of the iterator ``tasks`` (``count`` of them).
+def _run_tasks(rounds, count: int, state, run) -> None:
+    """run(state(), *task) for every task tuple of every round (an iterable) in ``rounds``.
 
     min(count, usable CPUs) threads, this one and a pool made for the call,
     each call state() once, then take the next untaken task under one lock,
     so a thread the OS holds back delays the others by at most its task.
-    Once a thread raises, none takes another task; the first error is raised
-    again after every thread has ended.  The threads must call nothing that
-    perfbench/spans.py wraps: its span stack belongs to one thread.
+    ``count`` is the most tasks a round holds.  A round starts once every
+    task of the one before has ended: only then does this thread draw it
+    from ``rounds`` (which may build it then), under the lock.  Rounds built
+    on pool threads left their arrays in those threads' malloc arenas:
+    analyze's peak RSS read about 1.6 MiB higher, and varied from run to
+    run.  Once a thread raises, none takes another task; the first error is
+    raised again after every thread has ended.  The threads must call
+    nothing that perfbench/spans.py wraps: its span stack belongs to one
+    thread.
     """
-    lock, errors = threading.Lock(), []
+    turn, errors, caller = threading.Condition(threading.Lock()), [], threading.current_thread()
+    rounds, tasks, running, finished = iter(rounds), iter(()), 0, False
+
+    def take():
+        """The next task, or None once the rounds are done or a thread has raised; ``turn`` is held."""
+        nonlocal tasks, finished
+        while not (errors or finished):
+            task = next(tasks, None)
+            if task is not None:
+                return task
+            if running or threading.current_thread() is not caller:
+                turn.wait()  # for the round's last tasks, or for the caller to start the next round
+                continue
+            following = next(rounds, None)
+            finished, tasks = following is None, iter(following or ())
+            turn.notify_all()
+        return None
 
     def loop():
+        nonlocal running
+        task = None
         try:
             own = state()
             while True:
-                with lock:
-                    task = None if errors else next(tasks, None)
-                if task is None:
-                    return
+                with turn:
+                    if task is not None:
+                        running, task = running - 1, None
+                        turn.notify_all()
+                    task = take()
+                    if task is None:
+                        return
+                    running += 1
                 run(own, *task)
         except BaseException as error:  # raised again once every thread has ended
-            errors.append(error)
+            with turn:
+                errors.append(error)
+                if task is not None:
+                    running -= 1
+                turn.notify_all()
 
     n = min(count, _usable_cpus())
     if n <= 1:
@@ -406,12 +466,20 @@ def _window_integrals(seq: PhaseSequence, lams, t: float, edges=()):
     def work(buffers, j, block):
         rows[j, block] = _window_terms(lams[block], *windows.build(j, buffers), buffers)
 
-    _run_tasks(tasks, m * blocks, windows.buffers, work)
+    _run_tasks([tasks], m * blocks, windows.buffers, work)
     return windows.cuts[1:].tolist(), rows
 
 
 def _check_time(seq: PhaseSequence, t: float) -> float:
-    return _check_window(seq, 0.0, t)[1]
+    """t as a float in (0, horizon] whose reciprocal is finite.
+
+    numpy divides a complex array by a real scalar as a multiply by 1/t, so a
+    t below about 5.6e-309, whose 1/t overflows, would give inf and nan.
+    """
+    t = _check_window(seq, 0.0, t)[1]
+    if not math.isfinite(1.0 / t):
+        raise DomainError(f"t must be at least about 5.6e-309, where 1/t is finite, got {t!r}")
+    return t
 
 
 def bohr_mean(seq: PhaseSequence, t: float) -> complex:
@@ -482,13 +550,77 @@ class AlmostPeriodReport:
         return min(self.candidates, key=lambda c: c.discrepancy)
 
 
+class _EventRows:
+    """The rows of [0.0] + the distinct event times of (0, horizon], streamed in time order.
+
+    Row 0 is time 0.0 and row k the k-th distinct event time; a row's factor
+    is e^{i Phi} at its time.  The table holds the rows from global row
+    ``first`` on: ``times`` are the generated ones, ``factors`` belong to
+    its first ``factors.size`` rows.  Times are n * T from winding counts,
+    generated in pieces of about _WINDOW_EVENTS events; factors are built in
+    phase_at_many's row chunks of the whole table, so each has the bits
+    phase_at_many gives it there.  A chunk is known to be the last once
+    fewer than 2 * _WINDOW_EVENTS rows are left, so the table generates that
+    far ahead.
+    """
+
+    def __init__(self, seq: PhaseSequence):
+        _, self.periods, self.increments = seq._active_arrays()
+        self.horizon = seq.horizon
+        rate = float(np.sum(1.0 / self.periods))  # events per unit time
+        self.step = _WINDOW_EVENTS / rate if rate else seq.horizon
+        self.first, self.reached = 0, 0.0  # every event time <= reached is generated
+        self.times, self.factors = np.zeros(1), np.zeros(0, dtype=complex)
+
+    def _generate(self) -> None:
+        """Append the distinct event times of the next piece (reached, reached + step]."""
+        a = self.reached
+        b = min(max(a + self.step, np.nextafter(a, math.inf)), self.horizon)
+        n0, n1 = _completed_windings([a, b], self.periods)
+        counts = zip(n0.tolist(), n1.tolist(), self.periods.tolist())
+        pieces = [np.arange(i + 1, j + 1) * T for i, j, T in counts]
+        self.times = np.concatenate((self.times, np.unique(np.concatenate((np.zeros(0), *pieces)))))
+        self.reached = b
+
+    def _settle(self) -> None:
+        """Build the factors of the next row chunk: _WINDOW_EVENTS rows, or every row left."""
+        done = self.factors.size
+        while self.times.size - done < 2 * _WINDOW_EVENTS and self.reached < self.horizon:
+            self._generate()
+        stop = _chunk_end(done, self.times.size)
+        phases = _reduced_phases(self.times[done:stop], self.periods, self.increments)
+        factors = _unit_phasors(phases, np.empty(phases.size, dtype=complex))
+        self.factors = np.concatenate((self.factors, factors))
+
+    def start(self, row: int, count: int) -> np.ndarray:
+        """Drop the rows before global ``row``, which have factors; hold ``count`` rows or all left."""
+        drop = row - self.first
+        self.times, self.factors, self.first = self.times[drop:], self.factors[drop:], row
+        while self.times.size < count and self.reached < self.horizon:
+            self._generate()
+        return self.times
+
+    def through(self, reach: float):
+        """(times, factors) of the held rows with factors, among them every row up to time ``reach``."""
+        while True:
+            done = self.factors.size
+            if done < self.times.size and self.times[done] > reach:
+                break  # the first row without a factor lies past reach
+            if done == self.times.size and self.reached >= self.horizon:
+                break  # every row has its factor
+            self._settle()
+        return self.times[: self.factors.size], self.factors
+
+
 def _block_discrepancy(cuts, shift, times, factors, horizon):
     """Largest |e^{i Phi(tau + shift)} - e^{i Phi(tau)}| over one block's segments.
 
     ``cuts`` holds the block's two edges and every base and shifted event
     time between them, unsorted and possibly repeated.  It is sorted in
     place; a repeated cut makes a zero-width neighbour pair, which the
-    sliver mask drops just as deduplicating would.  Returns None when no
+    sliver mask drops just as deduplicating would.  ``factors[k]`` is
+    e^{i Phi} from ``times[k - 1]`` (from the block's start for k = 0) to
+    ``times[k]``, and ``times`` runs past every probe.  Returns None when no
     segment is wider than the sliver.
     """
     cuts.sort()
@@ -517,16 +649,22 @@ def find_almost_periods(
     sampling-density parameter.  Segments thinner than 1e-9 time units are
     float artifacts of shifted event times and are skipped.
 
-    Each shift's window is evaluated in consecutive blocks: the first holds
-    the first 64 base event times, each later block four times as many up to
-    _WINDOW_EVENTS (bounding each thread's arrays), and the last ends at the
-    window end.  Every block edge is a base event time (or 0 or the window
-    end), so a cut of the whole window's partition: the blocks' segments are
-    the whole window's, with the same midpoints.  The running maximum over
-    the blocks is thus the whole-window supremum bit for bit, and the first
-    block over ``epsilon`` rejects the shift as the whole window would.  The
-    shifts are _run_tasks tasks, each result stored at its shift's index, so
-    the report equals a one-thread scan's; a passing shift costs O(horizon).
+    The window is walked once, in consecutive blocks: the first holds the
+    first 64 base event times, each later block four times as many up to
+    _WINDOW_EVENTS // 2, and the last ends at the window end.  Every block
+    edge is a base event time (or 0 or the window end), so a cut of the
+    whole window's partition: the blocks' segments are the whole window's,
+    with the same midpoints.  The running maximum over the blocks is thus
+    the whole-window supremum bit for bit, and the first block over
+    ``epsilon`` rejects a shift as the whole window would; later blocks scan
+    only the shifts still within it.  Phases are looked up in the table of
+    [0.0] + the distinct event times and their factors e^{i Phi}
+    (_EventRows), streamed along with the blocks: each block holds its rows
+    up to its end plus the largest shift still scanned, so memory grows
+    with the block size and the events within ``search_bound``, not with
+    the horizon.  Each block's shifts are _run_tasks tasks, each result
+    stored at its shift's index, so the report equals a one-thread scan's; a
+    passing shift costs O(horizon).
     """
     epsilon = _real("epsilon", epsilon, positive=True)
     sample_step = _real("sample_step", sample_step, positive=True)
@@ -545,43 +683,67 @@ def find_almost_periods(
     candidates = np.unique(np.concatenate(shifts))
     candidates = candidates[(candidates > 0.0) & (candidates <= search_bound)]
 
-    # e^{i Phi(tau)} for every tau, indexed by the number of event times <= tau
-    times = np.unique(event_arrays(seq, 0.0, seq.horizon)[0])
-    factors = np.exp(1j * phase_at_many(seq, np.concatenate(([0.0], times))))
-    base_times = times[: np.searchsorted(times, window_end, side="right")]
-    # (end, base cuts) per block: its edges and the base event times between
-    blocks, x0, first, size = [], 0.0, 0, 64
-    while first + size < base_times.size:
-        x1 = base_times[first + size - 1]
-        blocks.append((x1, np.concatenate(([x0], base_times[first : first + size]))))
-        x0, first, size = x1, first + size, min(4 * size, _WINDOW_EVENTS)
-    blocks.append((window_end, np.concatenate(([x0], base_times[first:], [window_end]))))
-    worsts = [None] * candidates.size
+    shifts = candidates.tolist()
+    # per shift: how many event times precede its next shifted cut, its
+    # running supremum, and whether a block exceeded epsilon
+    los, worsts, failed = [0] * len(shifts), [None] * len(shifts), [False] * len(shifts)
 
-    def scan(_, i, shift):
-        lo, hi = np.searchsorted(times, (shift, shift + window_end), side="right")
-        worst = None
-        for x1, base_cuts in blocks:
-            # times[lo:end] - shift are the shifted event times up to x1.  The
-            # search on x1 + shift may be off by rounding; t - shift rounds
-            # monotonically in t, so stepping on the differences settles it.
-            end = min(max(np.searchsorted(times, x1 + shift, side="right"), lo), hi)
-            while end > lo and times[end - 1] - shift > x1:
-                end -= 1
-            while end < hi and times[end] - shift <= x1:
-                end += 1
-            cuts = np.concatenate((base_cuts, times[lo:end] - shift))
-            lo = end
-            block = _block_discrepancy(cuts, shift, times, factors, seq.horizon)
-            if block is None:
-                continue
-            if block > epsilon:
-                return
-            worst = block if worst is None else max(worst, block)
-        worsts[i] = worst
+    def blocks():
+        """One round of (block, shift index) tasks per block, for the shifts still within epsilon."""
+        table, alive, row, size = _EventRows(seq), list(range(len(shifts))), 0, 64
+        while alive:
+            # the block runs from row ``row``'s time to the base event time
+            # ``size`` rows on, or to the window end when no more than
+            # ``size`` base event times are left
+            held = table.start(row, size + 2)
+            last = not (held.size > size + 1 and held[size + 1] <= window_end)
+            if last:
+                x1 = window_end
+                base = np.searchsorted(held, window_end, side="right")
+                base_cuts = np.concatenate((held[:base], [x1]))
+            else:
+                x1, base_cuts = held[size], held[: size + 1]
+            # Every probe tau + shift is at most x1 + shift, and an event
+            # time t four ulps past that has t - shift > x1 after rounding,
+            # so the rows up to there are all the block reads.
+            reach = x1 + max(shifts[i] for i in alive)
+            times, factors = table.through(reach + 4.0 * np.spacing(reach))
+            # times[k] is event time number row + k (0-based)
+            block = (row, x1, base_cuts, times[1:], factors)
+            yield [(block, i) for i in alive]
+            alive = [] if last else [i for i in alive if not failed[i]]
+            # half a window: blocks of a whole window's events page-faulted
+            # their arrays afresh (about 8x the minor faults on analyze_scan)
+            row, size = row + size, min(4 * size, _WINDOW_EVENTS // 2)
 
-    _run_tasks(enumerate(candidates), candidates.size, lambda: None, scan)
-    passing = [AlmostPeriodCandidate(float(s), w) for s, w in zip(candidates, worsts) if w is not None]
+    def scan(_, block, i):
+        row, x1, base_cuts, times, factors = block
+        shift = shifts[i]
+        lo = los[i] - row if row else int(np.searchsorted(times, shift, side="right"))
+        hi = int(np.searchsorted(times, shift + window_end, side="right"))
+        # times[lo:end] - shift are the shifted event times up to x1.  The
+        # search on x1 + shift may be off by rounding; t - shift rounds
+        # monotonically in t, so stepping on the differences settles it.
+        end = min(max(int(np.searchsorted(times, x1 + shift, side="right")), lo), hi)
+        while end > lo and times[end - 1] - shift > x1:
+            end -= 1
+        while end < hi and times[end] - shift <= x1:
+            end += 1
+        los[i] = row + end
+        worst = _block_discrepancy(
+            np.concatenate((base_cuts, times[lo:end] - shift)), shift, times, factors, seq.horizon
+        )
+        if worst is None:
+            return
+        if worst > epsilon:
+            failed[i] = True
+        else:
+            worsts[i] = worst if worsts[i] is None else max(worsts[i], worst)
+
+    _run_tasks(blocks(), len(shifts), lambda: None, scan)
+    passing = [
+        AlmostPeriodCandidate(s, w) for s, w, f in zip(shifts, worsts, failed) if w is not None and not f
+    ]
     return AlmostPeriodReport(
         epsilon=epsilon,
         candidates=tuple(passing),
@@ -614,19 +776,30 @@ def _monobit_p(bits: np.ndarray) -> float:
 
 
 def _lag1_circular_correlation(z: np.ndarray) -> complex:
-    zc = z - z.mean()
-    denom = float(np.sum(np.abs(zc) ** 2))
+    """Lag-1 autocorrelation of z about its mean; z is centred in place.
+
+    Keep the two sums' expressions as they are: numpy computes a large
+    operation on a temporary (np.abs(z), np.conj(...)) into that temporary,
+    so they take no further array, and for the product it swaps the
+    operands, which gives other last bits than z[:-1] times a named array.
+    """
+    z -= z.mean()
+    denom = float(np.sum(np.abs(z) ** 2))
     if denom == 0.0:
         return 0j
-    return complex(np.sum(zc[:-1] * np.conj(zc[1:])) / denom)
+    return complex(np.sum(z[:-1] * np.conj(z[1:])) / denom)
 
 
 def _permutation_entropy(x: np.ndarray, order: int = 3) -> float:
+    """Normalized entropy of the order-``order`` rank patterns, counted _WINDOW_EVENTS at a time."""
     windows = np.lib.stride_tricks.sliding_window_view(x, order)
-    ranks = np.argsort(windows, axis=1, kind="stable")
-    codes = ranks @ (order ** np.arange(order))
-    _, counts = np.unique(codes, return_counts=True)
-    p = counts / windows.shape[0]
+    weights = order ** np.arange(order)
+    counts = np.zeros(order**order, dtype=np.int64)
+    for start in range(0, windows.shape[0], _WINDOW_EVENTS):
+        ranks = np.argsort(windows[start : start + _WINDOW_EVENTS], axis=1, kind="stable")
+        counts += np.bincount(ranks @ weights, minlength=counts.size)
+    # the counts of the patterns that occur, in ascending code order
+    p = counts[counts > 0] / windows.shape[0]
     return float(-(p * np.log(p)).sum() / math.log(math.factorial(order)) + 0.0)
 
 
@@ -644,13 +817,16 @@ def score_phase_samples(
         raise DomainError(f"need a 1-d array of >= 1000 samples, got shape {phases.shape}")
     if not np.all(np.isfinite(phases)):
         raise DomainError("every phase sample must be finite")
+    # one statistic at a time, so at most one's temporaries are alive
+    entropy = _permutation_entropy(phases)
     reduced = np.mod(phases, TWO_PI)
-    bits = reduced < math.pi
-    z = np.exp(1j * reduced)
+    monobit_p = _monobit_p(reduced < math.pi)
+    z = _unit_phasors(reduced, np.empty(reduced.size, dtype=complex))
+    del reduced
     return RandomnessReport(
-        monobit_p=_monobit_p(bits),
+        monobit_p=monobit_p,
         serial_correlation=_lag1_circular_correlation(z),
-        permutation_entropy=_permutation_entropy(phases),
+        permutation_entropy=entropy,
         sample_count=int(phases.size),
         discretization=discretization,
     )
@@ -668,8 +844,8 @@ def randomness_battery(
     t = _check_time(seq, t)
     n_samples = _integer("n_samples", n_samples, 1000)
     rng = np.random.default_rng(seed)
-    taus = np.sort(rng.uniform(0.0, t, n_samples))
-    phases = phase_at_many(seq, taus)
+    # the sorted times are freed once their phases are taken
+    phases = phase_at_many(seq, np.sort(rng.uniform(0.0, t, n_samples)))
     return score_phase_samples(
         phases,
         discretization=(

@@ -57,6 +57,8 @@ def _real(name: str, value, positive: bool = False) -> float:
         x = float(value)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a number, got {value!r}") from None
+    except OverflowError:
+        raise DomainError(f"{name} must be finite, got an integer too large for a float") from None
     if not math.isfinite(x) or (positive and x <= 0.0):
         raise DomainError(f"{name} must be {'> 0 and ' if positive else ''}finite, got {x!r}")
     return x

@@ -65,6 +65,13 @@ def test_negative_period_names_the_key():
     assert exc.value.key == "periods[0]"
 
 
+def test_integer_too_large_for_a_float_names_the_key():
+    bad = dict(MINIMAL, horizon=10**400)
+    with pytest.raises(ConfigError, match="too large for a float") as exc:
+        parse_config(bad)
+    assert exc.value.key == "horizon"
+
+
 def test_chain_length_must_be_twice_genus():
     bad = dict(MINIMAL, chain_a=[1, 0, 2])
     with pytest.raises(ConfigError) as exc:

@@ -192,6 +192,10 @@ class TestCorrelation:
             correlation(canonical_pair, 0.0, 0.0, 0.0)
         with pytest.raises(DomainError):
             correlation(canonical_pair, 0.0, 0.0, 2001.0)
+        # a positive t whose 1/t overflows would scale the moment to inf/nan
+        for t in (5e-324, 1e-310):
+            with pytest.raises(DomainError, match="t must be at least"):
+                correlation(canonical_pair, 0.0, 0.0, t)
 
     def test_segment_count_metadata(self, canonical_pair):
         est = correlation(canonical_pair, 0.0, 0.0, 10.0)
@@ -249,6 +253,8 @@ class TestResidualCurve:
             residual_curve(canonical_pair, 0.0, 0.0, [])
         with pytest.raises(DomainError):
             residual_curve(canonical_pair, 0.0, 0.0, [100.0, 2500.0])
+        with pytest.raises(DomainError, match="t must be at least"):
+            residual_curve(canonical_pair, 0.0, 0.0, [1e-310, 100.0])
         for ta, tb in ((math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)):
             with pytest.raises(DomainError, match="angles must be finite"):
                 residual_curve(canonical_pair, ta, tb, [10.0, 100.0])

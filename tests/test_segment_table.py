@@ -488,6 +488,15 @@ def _scanned(seq, workers, gate=False):
     return run
 
 
+def _assert_same_blocks(run, one_thread):
+    """Each shift's blocks in ``run`` are the one-thread run's, in its order."""
+    assert run.blocks.keys() == one_thread.blocks.keys()
+    for shift, blocks in run.blocks.items():
+        expected = one_thread.blocks[shift]
+        assert len(blocks) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, expected))
+
+
 def test_almost_period_scan_is_equal_for_every_worker_count():
     seq = _scan_sequence()
     runs = {workers: _scanned(seq, workers, gate=True) for workers in (1, 2, 3, 4)}
@@ -499,25 +508,26 @@ def test_almost_period_scan_is_equal_for_every_worker_count():
     assert set().union(*runs[1].threads.values()) == {threading.main_thread()}
     for workers, run in runs.items():
         assert run.report == expected
-        # every candidate scanned by exactly one thread, the caller among them
+        # every (block, shift) task scanned exactly once, each shift's blocks
+        # in the one-thread order; the caller among the scanning threads
         assert len(run.threads) == expected.scanned
-        assert all(len(threads) == 1 for threads in run.threads.values())
+        _assert_same_blocks(run, runs[1])
         scanners = set().union(*run.threads.values())
         assert threading.main_thread() in scanners and len(scanners) <= workers
 
 
 def test_almost_period_scan_is_equal_under_fast_switching():
     seq = _scan_sequence()
-    expected = _scanned(seq, 1).report
+    expected = _scanned(seq, 1)
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
         run = _scanned(seq, 8)
     finally:
         sys.setswitchinterval(interval)
-    assert run.report == expected
-    assert len(run.threads) == expected.scanned
-    assert all(len(threads) == 1 for threads in run.threads.values())
+    assert run.report == expected.report
+    assert len(run.threads) == expected.report.scanned
+    _assert_same_blocks(run, expected)
 
 
 def test_capped_scan_blocks_end_at_base_event_times():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,25 @@ class TestPhaseAt:
             bound = gamma_k * float(np.sum(np.abs(counts * increments))) + 2.0 * u * TWO_PI
             assert circular_distance(got, phase_fraction(seq, t)) <= bound
 
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    def test_vectorized_equals_one_product_over_all_times(self, genus):
+        # phase_at_many evaluates its winding table in row chunks aligned at
+        # row 0, the last running to the end; every row must keep the bits
+        # of one n @ increments product over the whole table
+        rng = np.random.default_rng(genus)
+        n = 2 * genus
+        coeffs = tuple(int(c) for c in rng.choice([-3, -2, -1, 1, 2, 3], n))
+        betas = tuple(float(b) for b in rng.uniform(0.0, TWO_PI, n))
+        periods = tuple(float(p) for p in rng.uniform(0.5, 3.0, n))
+        seq = make_seq(genus, coeffs, betas, periods, 1e6)
+        _, periods, increments = seq._active_arrays()
+        w = sequence._WINDOW_EVENTS
+        for size in (w - 1, w, w + 1, 2 * w + 1, 3 * w + 5):
+            taus = np.sort(rng.uniform(0.0, 1e6, size))
+            whole = np.mod(sequence._completed_windings(taus, periods) @ increments, TWO_PI)
+            whole[whole >= TWO_PI] = 0.0
+            assert phase_at_many(seq, taus).tobytes() == whole.tobytes()
+
     def test_active_period_count_bounded_by_basis(self):
         rng = np.random.default_rng(55)
         for _ in range(100):
@@ -262,6 +282,13 @@ class TestBohrMean:
             bohr_mean(seq, 0.0)
         with pytest.raises(DomainError):
             bohr_mean(seq, 101.0)
+        # numpy divides by t as a multiply by 1/t, which overflows below ~5.6e-309
+        for t in (5e-324, 1e-310):
+            with pytest.raises(DomainError, match="t must be at least"):
+                bohr_mean(seq, t)
+            with pytest.raises(DomainError, match="t must be at least"):
+                fourier_spectrum(seq, [0.0, 1.0], t)
+        assert abs(bohr_mean(seq, 1e-300)) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestFourierBohrCoefficient:
@@ -368,6 +395,23 @@ class TestFindAlmostPeriods:
         rep = find_almost_periods(seq, 0.3, 45.0, 0.5)
         near = [c for c in rep.candidates if abs(c.shift - 41.0) <= 0.1]
         assert near and all(c.discrepancy <= 0.3 for c in near)
+
+    def test_scan_memory_does_not_grow_with_the_horizon(self):
+        # Shifts within epsilon are compared over their whole windows, here
+        # of 6.25e4 and 1e6 events; the scan holds its blocks and a window
+        # of the event table, not the horizon's events (8 B each for the
+        # times alone).
+        peaks = []
+        for horizon in (6.25e4, 1e6):
+            seq = make_seq(1, (1, 0), (3.883222077450933, 0.0), (1.0, math.sqrt(2.0)), horizon)
+            tracemalloc.start()
+            try:
+                rep = find_almost_periods(seq, 1.9, 10.0, 1.0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert len(rep.candidates) > 0
+        assert peaks[1] <= 1.25 * peaks[0] < 8 * 1e6
 
     def test_parameter_validation(self):
         seq = make_seq(1, (1, 0), (0.5, 0.5), (1.0, 2.0), 50.0)

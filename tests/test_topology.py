@@ -17,6 +17,7 @@ from windingphase import (
     find_almost_periods,
     holonomy_loop,
     pairing,
+    phase_at,
     wrap_angle,
 )
 
@@ -335,3 +336,11 @@ def test_non_numbers_raise_domain_error(call):
     seq = PhaseSequence(s, WindingChain(s, (1, 1)), assign, 100.0)
     with pytest.raises(DomainError):
         call(s, assign, seq)
+
+
+def test_integer_too_large_for_a_float_raises_domain_error():
+    s = SurfaceSpec(1)
+    assign = CycleAssignment(s, (1.0, 2.0), (1.0, math.sqrt(2.0)))
+    seq = PhaseSequence(s, WindingChain(s, (1, 1)), assign, 100.0)
+    with pytest.raises(DomainError, match="tau must be finite, got an integer too large for a float"):
+        phase_at(seq, 10**400)
