@@ -37,10 +37,6 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .topology import TWO_PI, CycleAssignment, SurfaceSpec, WindingChain, _dot_mod_2pi, _integer, _real
 
-# Segments thinner than this are treated as float artifacts of shifted event
-# times (see find_almost_periods) and skipped when probing suprema.
-_SLIVER = 1e-9
-
 # Events per evaluation window: every segment reduction sums over windows of
 # about this many events, phase_at_many evaluates this many times per chunk
 # and the almost-period scan's blocks hold at most half as many, so their
@@ -190,13 +186,6 @@ def phase_at(seq: PhaseSequence, tau: float) -> float:
     return _exact_phases(seq, _completed_windings([tau], periods))[0]
 
 
-def _reduced_phases(taus, periods, increments) -> np.ndarray:
-    """Phi at ``taus`` from one product n @ increments of their winding counts, in [0, 2*pi)."""
-    phases = np.mod(_completed_windings(taus, periods) @ increments, TWO_PI)
-    phases[phases >= TWO_PI] = 0.0
-    return phases
-
-
 def _chunk_end(start: int, size: int) -> int:
     """End row of the row chunk from ``start`` of a table of ``size`` rows (see phase_at_many)."""
     return start + _WINDOW_EVENTS if size - start >= 2 * _WINDOW_EVENTS else size
@@ -212,8 +201,8 @@ def phase_at_many(seq: PhaseSequence, taus) -> np.ndarray:
     every row the bits of one product over the whole table, which other
     groupings do not: with OpenBLAS a row evaluated in a one-row call got
     other last bits on most rows, and plain _WINDOW_EVENTS-row chunks did
-    wherever the last chunk was short.  find_almost_periods builds its event
-    table's factors in the same chunks.
+    wherever the last chunk was short.  find_almost_periods calls it on one
+    such chunk of its event table at a time.
     """
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
     if taus.size == 0:
@@ -226,8 +215,10 @@ def phase_at_many(seq: PhaseSequence, taus) -> np.ndarray:
     phases, start = np.empty(taus.size), 0
     while start < taus.size:
         stop = _chunk_end(start, taus.size)
-        phases[start:stop] = _reduced_phases(taus[start:stop], periods, increments)
+        phases[start:stop] = _completed_windings(taus[start:stop], periods) @ increments
         start = stop
+    np.mod(phases, TWO_PI, out=phases)
+    phases[phases >= TWO_PI] = 0.0
     return phases
 
 
@@ -556,39 +547,35 @@ class _EventRows:
     Row 0 is time 0.0 and row k the k-th distinct event time; a row's factor
     is e^{i Phi} at its time.  The table holds the rows from global row
     ``first`` on: ``times`` are the generated ones, ``factors`` belong to
-    its first ``factors.size`` rows.  Times are n * T from winding counts,
-    generated in pieces of about _WINDOW_EVENTS events; factors are built in
-    phase_at_many's row chunks of the whole table, so each has the bits
-    phase_at_many gives it there.  A chunk is known to be the last once
-    fewer than 2 * _WINDOW_EVENTS rows are left, so the table generates that
-    far ahead.
+    its first ``factors.size`` rows.  Times come from event_arrays, one
+    _window_cuts window of about _WINDOW_EVENTS events at a time; factors
+    come from phase_at_many, one call per row chunk of the whole table as
+    phase_at_many would cut it, so each has the bits phase_at_many gives it
+    there.  A chunk is known to be the last once fewer than 2 *
+    _WINDOW_EVENTS rows are left, so the table generates that far ahead.
     """
 
     def __init__(self, seq: PhaseSequence):
-        _, self.periods, self.increments = seq._active_arrays()
-        self.horizon = seq.horizon
-        rate = float(np.sum(1.0 / self.periods))  # events per unit time
-        self.step = _WINDOW_EVENTS / rate if rate else seq.horizon
-        self.first, self.reached = 0, 0.0  # every event time <= reached is generated
+        self.seq = seq
+        self.cuts = _window_cuts(seq._active_arrays()[1], 0.0, seq.horizon).tolist()
+        self.first, self.window = 0, 0  # every event time <= cuts[window] is generated
         self.times, self.factors = np.zeros(1), np.zeros(0, dtype=complex)
 
-    def _generate(self) -> None:
-        """Append the distinct event times of the next piece (reached, reached + step]."""
-        a = self.reached
-        b = min(max(a + self.step, np.nextafter(a, math.inf)), self.horizon)
-        n0, n1 = _completed_windings([a, b], self.periods)
-        counts = zip(n0.tolist(), n1.tolist(), self.periods.tolist())
-        pieces = [np.arange(i + 1, j + 1) * T for i, j, T in counts]
-        self.times = np.concatenate((self.times, np.unique(np.concatenate((np.zeros(0), *pieces)))))
-        self.reached = b
+    def _generate(self) -> bool:
+        """Append the distinct event times of the next window; False once every window is."""
+        j = self.window
+        if j + 1 == len(self.cuts):
+            return False
+        times = event_arrays(self.seq, self.cuts[j], self.cuts[j + 1])[0]
+        self.times, self.window = np.concatenate((self.times, np.unique(times))), j + 1
+        return True
 
     def _settle(self) -> None:
         """Build the factors of the next row chunk: _WINDOW_EVENTS rows, or every row left."""
         done = self.factors.size
-        while self.times.size - done < 2 * _WINDOW_EVENTS and self.reached < self.horizon:
-            self._generate()
-        stop = _chunk_end(done, self.times.size)
-        phases = _reduced_phases(self.times[done:stop], self.periods, self.increments)
+        while self.times.size - done < 2 * _WINDOW_EVENTS and self._generate():
+            pass
+        phases = phase_at_many(self.seq, self.times[done : _chunk_end(done, self.times.size)])
         factors = _unit_phasors(phases, np.empty(phases.size, dtype=complex))
         self.factors = np.concatenate((self.factors, factors))
 
@@ -596,8 +583,8 @@ class _EventRows:
         """Drop the rows before global ``row``, which have factors; hold ``count`` rows or all left."""
         drop = row - self.first
         self.times, self.factors, self.first = self.times[drop:], self.factors[drop:], row
-        while self.times.size < count and self.reached < self.horizon:
-            self._generate()
+        while self.times.size < count and self._generate():
+            pass
         return self.times
 
     def through(self, reach: float):
@@ -606,7 +593,7 @@ class _EventRows:
             done = self.factors.size
             if done < self.times.size and self.times[done] > reach:
                 break  # the first row without a factor lies past reach
-            if done == self.times.size and self.reached >= self.horizon:
+            if done == self.times.size and not self._generate():
                 break  # every row has its factor
             self._settle()
         return self.times[: self.factors.size], self.factors
@@ -618,14 +605,14 @@ def _block_discrepancy(cuts, shift, times, factors, horizon):
     ``cuts`` holds the block's two edges and every base and shifted event
     time between them, unsorted and possibly repeated.  It is sorted in
     place; a repeated cut makes a zero-width neighbour pair, which the
-    sliver mask drops just as deduplicating would.  ``factors[k]`` is
-    e^{i Phi} from ``times[k - 1]`` (from the block's start for k = 0) to
-    ``times[k]``, and ``times`` runs past every probe.  Returns None when no
-    segment is wider than the sliver.
+    sliver rule (see find_almost_periods) drops just as deduplicating would.
+    ``factors[k]`` is e^{i Phi} from ``times[k - 1]`` (from the block's
+    start for k = 0) to ``times[k]``, and ``times`` runs past every probe.
+    Returns None when no segment is wider than the sliver.
     """
     cuts.sort()
     left, right = cuts[:-1], cuts[1:]
-    wide = (right - left) > _SLIVER
+    wide = (right - left) > 4.0 * np.spacing(horizon)
     mids = 0.5 * (left[wide] + right[wide])
     if mids.size == 0:
         return None
@@ -646,8 +633,18 @@ def find_almost_periods(
     |e^{i Phi(tau + shift)} - e^{i Phi(tau)}| over the comparison window:
     both functions are piecewise constant, so probing the midpoint of every
     segment of their merged event partition realizes the supremum without a
-    sampling-density parameter.  Segments thinner than 1e-9 time units are
-    float artifacts of shifted event times and are skipped.
+    sampling-density parameter.
+
+    Sliver rule: segments no wider than 4u, u = np.spacing(horizon), are
+    skipped.  Every time here is at most the horizon, so each rounding is
+    off by at most u / 2.  A shifted event time fl(fl(n T) - s) and a base
+    event time fl(n' T') with n T - s = n' T' exactly (s being fl(k T) or
+    fl(j * sample_step)) are four roundings apart, so a phantom segment
+    between them is at most 2u wide.  The shifted edge, the midpoint and
+    its shifted probe are three roundings, so a segment wider than 3u puts
+    both its probes strictly inside the segments they stand for.  4u
+    exceeds both; a true segment that thin cannot be told from a rounding
+    artifact and is skipped too.
 
     The window is walked once, in consecutive blocks: the first holds the
     first 64 base event times, each later block four times as many up to
@@ -659,12 +656,13 @@ def find_almost_periods(
     ``epsilon`` rejects a shift as the whole window would; later blocks scan
     only the shifts still within it.  Phases are looked up in the table of
     [0.0] + the distinct event times and their factors e^{i Phi}
-    (_EventRows), streamed along with the blocks: each block holds its rows
-    up to its end plus the largest shift still scanned, so memory grows
-    with the block size and the events within ``search_bound``, not with
-    the horizon.  Each block's shifts are _run_tasks tasks, each result
-    stored at its shift's index, so the report equals a one-thread scan's; a
-    passing shift costs O(horizon).
+    (_EventRows: times from event_arrays, factors from phase_at_many, both
+    called on this thread), streamed along with the blocks: each block
+    holds its rows up to its end plus the largest shift still scanned, so
+    memory grows with the block size and the events within
+    ``search_bound``, not with the horizon.  Each block's shifts are
+    _run_tasks tasks, each result stored at its shift's index, so the
+    report equals a one-thread scan's; a passing shift costs O(horizon).
     """
     epsilon = _real("epsilon", epsilon, positive=True)
     sample_step = _real("sample_step", sample_step, positive=True)

@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import phase_fraction
+from oracles import fourier_spectrum_exact, phase_fraction
 from windingphase import (
     CycleAssignment,
     DomainError,
@@ -45,6 +47,22 @@ def replay_oracle(seq, tau):
         for ev in events_in(seq, 0.0, tau):
             total += ev.increment
     return wrap_angle(total)
+
+
+def _phase_rounding_bound(seq, tau):
+    """How far phase_at_many(seq, tau) may lie from the exact n @ increments mod 2 pi.
+
+    phase_at_many reduces the float dot product n @ increments, whose error
+    grows with the counts.  For k terms it is at most gamma_k * sum|n_i *
+    inc_i|, gamma_k = k u / (1 - k u) with u the unit roundoff (counts below
+    2**53 are exact); the mod adds one rounding of a value below 2 pi, and
+    rounding the exact value to a float another.
+    """
+    _, periods, increments = seq._active_arrays()
+    u = 2.0**-53
+    gamma_k = increments.size * u / (1.0 - increments.size * u)
+    counts = sequence._completed_windings(tau, periods)
+    return gamma_k * float(np.sum(np.abs(counts * increments))) + 2.0 * u * TWO_PI
 
 
 def circular_distance(a, b):
@@ -171,22 +189,13 @@ class TestPhaseAt:
 
     @pytest.mark.parametrize("tau", [1e4, 1e6, 1e8])
     def test_vectorized_within_its_dot_product_rounding_bound(self, tau):
-        # phase_at_many reduces the float dot product n @ increments, whose
-        # error grows with the counts.  For k terms it is at most
-        # gamma_k * sum|n_i * inc_i|, gamma_k = k u / (1 - k u) with u the
-        # unit roundoff (increments of the -1, 1 chain are exact and so are
-        # counts below 2**53); the mod adds one rounding of a value below
-        # 2 pi, and rounding the exact reference to a float another.
+        # increments of the -1, 1 chain are exact, so phase_fraction is the
+        # exact value of the dot product that _phase_rounding_bound bounds
         betas = (TWO_PI * (PHI % 1.0), TWO_PI * (math.sqrt(3.0) % 1.0))
         seq = make_seq(1, (-1, 1), betas, (1.0, math.sqrt(2.0)), 1e8)
-        _, periods, increments = seq._active_arrays()
-        u = 2.0**-53
-        gamma_k = increments.size * u / (1.0 - increments.size * u)
         taus = np.linspace(tau / 2.0, tau, 9)
         for t, got in zip(taus.tolist(), phase_at_many(seq, taus).tolist()):
-            counts = sequence._completed_windings(t, periods)
-            bound = gamma_k * float(np.sum(np.abs(counts * increments))) + 2.0 * u * TWO_PI
-            assert circular_distance(got, phase_fraction(seq, t)) <= bound
+            assert circular_distance(got, phase_fraction(seq, t)) <= _phase_rounding_bound(seq, t)
 
     @pytest.mark.parametrize("genus", [1, 2, 3])
     def test_vectorized_equals_one_product_over_all_times(self, genus):
@@ -354,6 +363,40 @@ class TestFourierBohrCoefficient:
             fourier_spectrum(seq, [[]], 150.0)
 
 
+class TestExactWindowReference:
+    # Against the exact reference, whose segments take their phases from the
+    # exact reduction of their winding counts and whose sums are exact.  The
+    # bounds are what the window kernel meets today (measured: 3.3e-13 for
+    # the Bohr mean, 4.1e-10 at the line, where the terms add coherently, and
+    # below 1.4e-14 elsewhere), with some headroom.
+    def test_bohr_mean_and_spectrum_at_two_e5(self):
+        t = 2e5
+        betas = (TWO_PI * (PHI % 1.0), TWO_PI * (math.sqrt(3.0) % 1.0))
+        seq = make_seq(1, (-1, 2), betas, (3.0, 2.0 * math.sqrt(5.0)), t)
+        _, periods, increments = seq._active_arrays()
+        # the strongest line: each cycle's increment wrapped to (-pi, pi]
+        line = float(np.sum(np.angle(np.exp(1j * increments)) / periods))
+        lams = [0.0, line, -0.5, 4.0 * math.pi]
+        exact = fourier_spectrum_exact(seq, lams, t)
+        assert abs(exact[1]) > 0.5
+        assert abs(bohr_mean(seq, t) - exact[0]) <= 1e-12
+        for got, ref in zip(fourier_spectrum(seq, lams, t).tolist(), exact):
+            assert abs(got - ref) <= 1e-12 + 2e-9 * abs(ref)
+
+
+def _scan_rounding_bound(seq, shift_phase):
+    """How far a scanned discrepancy may lie from 2|sin(D/2)|, D = ``shift_phase``.
+
+    Each probe's phase comes from phase_at_many, off by at most its rounding
+    bound at the horizon's counts; |e^{ia} - e^{ib}| moves by at most the
+    sum of the two phase errors.  Rounding D itself adds u |D|, and the
+    complex exps, their difference, its magnitude and the reference's sine
+    a few ulps of 2 each.
+    """
+    u = 2.0**-53
+    return 2.0 * _phase_rounding_bound(seq, seq.horizon) + u * abs(shift_phase) + 32.0 * u
+
+
 class TestFindAlmostPeriods:
     def test_exact_periods_of_single_cycle(self):
         # increment 2*(pi) = 2pi wraps to the identity, so every multiple of
@@ -412,6 +455,53 @@ class TestFindAlmostPeriods:
                 tracemalloc.stop()
             assert len(rep.candidates) > 0
         assert peaks[1] <= 1.25 * peaks[0] < 8 * 1e6
+
+    @pytest.mark.parametrize("horizon", [1e7, 1.2e7])
+    def test_lattice_shift_passes_past_two_to_the_23(self, horizon):
+        # Phi(tau + 15 T) - Phi(tau) = 15 beta for every tau, so 15 T is an
+        # almost-period with discrepancy 2|sin(15 beta / 2)| = 0.1208...  Past
+        # tau = 2**23 a shifted event time and the base event time it equals
+        # differ by an ulp there (1.9e-9): a fixed 1e-9 sliver probed the
+        # phantom segment between them and rejected the shift.
+        period, beta = 1000.0 * math.sqrt(2.0), 4.59961087822572
+        seq = make_seq(1, (0, 1), (0.3, beta), (1.0, period), horizon)
+        rep = find_almost_periods(seq, 0.3, 30 * period, 31 * period)  # lattice shifts only
+        found = {c.shift: c.discrepancy for c in rep.candidates}
+        assert 15 * period in found
+        exact = 2.0 * abs(math.sin(15 * beta / 2.0))
+        assert abs(found[15 * period] - exact) <= _scan_rounding_bound(seq, 15 * beta)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        coefficient=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        beta=st.floats(0.0, TWO_PI, exclude_max=True),
+        horizon=st.floats(4.0, 8.0).map(lambda e: 10.0**e),
+        events=st.integers(8, 400),
+        epsilon=st.floats(0.05, 2.0),
+    )
+    def test_every_lattice_shift_within_epsilon_passes(
+        self, data, coefficient, beta, horizon, events, epsilon
+    ):
+        # One active cycle: Phi(tau + k T) - Phi(tau) = k m beta for every
+        # tau, so the shift k T has the discrepancy 2|sin(k m beta / 2)|
+        # exactly, at any horizon; few events keep horizons up to 1e8 quick.
+        period = horizon / events
+        search_bound = data.draw(st.floats(period, horizon / 2.0))
+        seq = make_seq(1, (coefficient, 0), (beta, 0.3), (period, 1.0), horizon)
+        rep = find_almost_periods(seq, epsilon, search_bound, 2.0 * search_bound)
+        found = {c.shift: c.discrepancy for c in rep.candidates}
+        increment = seq._active_arrays()[2][0]
+        shifts = np.arange(1, math.floor(search_bound / period) + 1) * period
+        shifts = shifts[shifts <= search_bound]  # the lattice as the scan forms it
+        assert rep.scanned == shifts.size and set(found) <= set(shifts.tolist())
+        for k, shift in enumerate(shifts.tolist(), start=1):
+            exact = 2.0 * abs(math.sin(k * increment / 2.0))
+            bound = _scan_rounding_bound(seq, k * increment)
+            if exact <= epsilon - bound:
+                assert abs(found[shift] - exact) <= bound
+            elif exact > epsilon + bound:
+                assert shift not in found
 
     def test_parameter_validation(self):
         seq = make_seq(1, (1, 0), (0.5, 0.5), (1.0, 2.0), 50.0)
