@@ -199,13 +199,15 @@ def parse_config(data: dict, source: str = "<config>") -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     """Load and validate a JSON config file.
 
-    Missing files raise OSError (an I/O failure); malformed JSON or invalid
-    content raises ConfigError (the configuration is wrong).
+    Missing files raise OSError (an I/O failure); text that is not UTF-8,
+    malformed JSON or invalid content raises ConfigError (the configuration
+    is wrong).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        data = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.loads(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return parse_config(data, source=str(path))

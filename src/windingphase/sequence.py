@@ -366,73 +366,51 @@ def _usable_cpus() -> int:
 def _run_tasks(rounds, count: int, state, run) -> None:
     """run(state(), *task) for every task tuple of every round (an iterable) in ``rounds``.
 
-    min(count, usable CPUs) threads, this one and a pool made for the call,
-    each call state() once, then take the next untaken task under one lock,
-    so a thread the OS holds back delays the others by at most its task.
-    ``count`` is the most tasks a round holds.  A round starts once every
-    task of the one before has ended: only then does this thread draw it
-    from ``rounds`` (which may build it then), under the lock.  Rounds built
-    on pool threads left their arrays in those threads' malloc arenas:
-    analyze's peak RSS read about 1.6 MiB higher, and varied from run to
-    run.  Once a thread raises, none takes another task; the first error is
-    raised again after every thread has ended.  The threads must call
-    nothing that perfbench/spans.py wraps: its span stack belongs to one
-    thread.
+    With n = min(count, usable CPUs) > 1, one pool of n - 1 threads serves
+    the whole call; ``count`` is the most tasks a round holds.  This thread
+    draws each round from ``rounds`` (which may build it then: rounds built
+    on pool threads left their arrays in those threads' malloc arenas, and
+    analyze's peak RSS read about 1.6 MiB higher), submits n - 1 copies of
+    one loop and runs another itself, then waits for the copies.  Each loop
+    calls state() and takes the next untaken task under one lock until the
+    round is empty, so a thread the OS holds back delays the others by at
+    most its task.  Once a task raises, no loop takes another, no round
+    starts, and the first error is raised again after every loop of its
+    round has ended.  The loops must call nothing that perfbench/spans.py
+    wraps: its span stack belongs to one thread.
     """
-    turn, errors, caller = threading.Condition(threading.Lock()), [], threading.current_thread()
-    rounds, tasks, running, finished = iter(rounds), iter(()), 0, False
+    lock, errors = threading.Lock(), []
 
-    def take():
-        """The next task, or None once the rounds are done or a thread has raised; ``turn`` is held."""
-        nonlocal tasks, finished
-        while not (errors or finished):
-            task = next(tasks, None)
-            if task is not None:
-                return task
-            if running or threading.current_thread() is not caller:
-                turn.wait()  # for the round's last tasks, or for the caller to start the next round
-                continue
-            following = next(rounds, None)
-            finished, tasks = following is None, iter(following or ())
-            turn.notify_all()
-        return None
-
-    def loop():
-        nonlocal running
-        task = None
+    def loop(tasks):
         try:
             own = state()
             while True:
-                with turn:
-                    if task is not None:
-                        running, task = running - 1, None
-                        turn.notify_all()
-                    task = take()
-                    if task is None:
-                        return
-                    running += 1
+                with lock:
+                    task = None if errors else next(tasks, None)
+                if task is None:
+                    return
                 run(own, *task)
-        except BaseException as error:  # raised again once every thread has ended
-            with turn:
-                errors.append(error)
-                if task is not None:
-                    running -= 1
-                turn.notify_all()
+        except BaseException as error:  # raised again once every loop of the round has ended
+            errors.append(error)
 
-    n = min(count, _usable_cpus())
-    if n <= 1:
-        loop()
-    else:
+    n, pool = min(count, _usable_cpus()), None
+    if n > 1:
         # imported here, so only a call split over several threads loads it
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(n - 1) as pool:
-            others = [pool.submit(loop) for _ in range(n - 1)]
-            loop()
-        for other in others:
-            other.result()
-    if errors:
-        raise errors[0]
+        pool = ThreadPoolExecutor(n - 1)
+    try:
+        for tasks in rounds:
+            tasks = iter(tasks)
+            others = [pool.submit(loop, tasks) for _ in range(n - 1)]
+            loop(tasks)
+            for other in others:
+                other.result()
+            if errors:
+                raise errors[0]
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def _window_integrals(seq: PhaseSequence, lams, t: float, edges=()):
@@ -541,62 +519,25 @@ class AlmostPeriodReport:
         return min(self.candidates, key=lambda c: c.discrepancy)
 
 
-class _EventRows:
-    """The rows of [0.0] + the distinct event times of (0, horizon], streamed in time order.
+def _factor_chunks(seq: PhaseSequence):
+    """(times, factors) of [0.0] + the distinct event times of (0, horizon], one row chunk at a time.
 
     Row 0 is time 0.0 and row k the k-th distinct event time; a row's factor
-    is e^{i Phi} at its time.  The table holds the rows from global row
-    ``first`` on: ``times`` are the generated ones, ``factors`` belong to
-    its first ``factors.size`` rows.  Times come from event_arrays, one
-    _window_cuts window of about _WINDOW_EVENTS events at a time; factors
-    come from phase_at_many, one call per row chunk of the whole table as
-    phase_at_many would cut it, so each has the bits phase_at_many gives it
-    there.  A chunk is known to be the last once fewer than 2 *
-    _WINDOW_EVENTS rows are left, so the table generates that far ahead.
+    is e^{i Phi} at its time.  Times come from event_arrays, one _window_cuts
+    window of about _WINDOW_EVENTS events at a time; the chunks are the row
+    chunks phase_at_many would cut the whole table into (see _chunk_end),
+    each with its factors from one phase_at_many call, so every row has the
+    bits phase_at_many gives it there.  A chunk is known to be the last once
+    fewer than 2 * _WINDOW_EVENTS rows are left, so times are generated that
+    far ahead.
     """
-
-    def __init__(self, seq: PhaseSequence):
-        self.seq = seq
-        self.cuts = _window_cuts(seq._active_arrays()[1], 0.0, seq.horizon).tolist()
-        self.first, self.window = 0, 0  # every event time <= cuts[window] is generated
-        self.times, self.factors = np.zeros(1), np.zeros(0, dtype=complex)
-
-    def _generate(self) -> bool:
-        """Append the distinct event times of the next window; False once every window is."""
-        j = self.window
-        if j + 1 == len(self.cuts):
-            return False
-        times = event_arrays(self.seq, self.cuts[j], self.cuts[j + 1])[0]
-        self.times, self.window = np.concatenate((self.times, np.unique(times))), j + 1
-        return True
-
-    def _settle(self) -> None:
-        """Build the factors of the next row chunk: _WINDOW_EVENTS rows, or every row left."""
-        done = self.factors.size
-        while self.times.size - done < 2 * _WINDOW_EVENTS and self._generate():
-            pass
-        phases = phase_at_many(self.seq, self.times[done : _chunk_end(done, self.times.size)])
-        factors = _unit_phasors(phases, np.empty(phases.size, dtype=complex))
-        self.factors = np.concatenate((self.factors, factors))
-
-    def start(self, row: int, count: int) -> np.ndarray:
-        """Drop the rows before global ``row``, which have factors; hold ``count`` rows or all left."""
-        drop = row - self.first
-        self.times, self.factors, self.first = self.times[drop:], self.factors[drop:], row
-        while self.times.size < count and self._generate():
-            pass
-        return self.times
-
-    def through(self, reach: float):
-        """(times, factors) of the held rows with factors, among them every row up to time ``reach``."""
-        while True:
-            done = self.factors.size
-            if done < self.times.size and self.times[done] > reach:
-                break  # the first row without a factor lies past reach
-            if done == self.times.size and not self._generate():
-                break  # every row has its factor
-            self._settle()
-        return self.times[: self.factors.size], self.factors
+    cuts = _window_cuts(seq._active_arrays()[1], 0.0, seq.horizon).tolist()
+    times = np.zeros(1)
+    for j in range(1, len(cuts)):
+        times = np.concatenate((times, np.unique(event_arrays(seq, cuts[j - 1], cuts[j])[0])))
+        while times.size >= 2 * _WINDOW_EVENTS or (j + 1 == len(cuts) and times.size):
+            chunk, times = np.split(times, [_chunk_end(0, times.size)])
+            yield chunk, _unit_phasors(phase_at_many(seq, chunk), np.empty(chunk.size, dtype=complex))
 
 
 def _block_discrepancy(cuts, shift, times, factors, horizon):
@@ -655,11 +596,11 @@ def find_almost_periods(
     the whole-window supremum bit for bit, and the first block over
     ``epsilon`` rejects a shift as the whole window would; later blocks scan
     only the shifts still within it.  Phases are looked up in the table of
-    [0.0] + the distinct event times and their factors e^{i Phi}
-    (_EventRows: times from event_arrays, factors from phase_at_many, both
-    called on this thread), streamed along with the blocks: each block
-    holds its rows up to its end plus the largest shift still scanned, so
-    memory grows with the block size and the events within
+    [0.0] + the distinct event times and their factors e^{i Phi}, streamed
+    from _factor_chunks on this thread, so event_arrays and phase_at_many
+    run there: each block pulls chunks until it holds its rows up to its end
+    plus the largest shift still scanned and drops the rows before its end
+    once scanned, so memory grows with the block size and the events within
     ``search_bound``, not with the horizon.  Each block's shifts are
     _run_tasks tasks, each result stored at its shift's index, so the
     report equals a one-thread scan's; a passing shift costs O(horizon).
@@ -688,28 +629,42 @@ def find_almost_periods(
 
     def blocks():
         """One round of (block, shift index) tasks per block, for the shifts still within epsilon."""
-        table, alive, row, size = _EventRows(seq), list(range(len(shifts))), 0, 64
+        chunks, alive, row, size = _factor_chunks(seq), list(range(len(shifts))), 0, 64
+        # the held rows, from global row ``row`` on
+        times, factors = np.zeros(0), np.zeros(0, dtype=complex)
+
+        def pull(enough):
+            """Append chunks to the held rows until enough(times) or every row is held."""
+            nonlocal times, factors
+            while not enough(times):
+                chunk = next(chunks, None)
+                if chunk is None:
+                    return
+                times, factors = np.concatenate((times, chunk[0])), np.concatenate((factors, chunk[1]))
+
         while alive:
             # the block runs from row ``row``'s time to the base event time
             # ``size`` rows on, or to the window end when no more than
             # ``size`` base event times are left
-            held = table.start(row, size + 2)
-            last = not (held.size > size + 1 and held[size + 1] <= window_end)
+            pull(lambda held: held.size >= size + 2)
+            last = not (times.size > size + 1 and times[size + 1] <= window_end)
             if last:
                 x1 = window_end
-                base = np.searchsorted(held, window_end, side="right")
-                base_cuts = np.concatenate((held[:base], [x1]))
+                base = np.searchsorted(times, window_end, side="right")
+                base_cuts = np.concatenate((times[:base], [x1]))
             else:
-                x1, base_cuts = held[size], held[: size + 1]
+                x1, base_cuts = times[size], times[: size + 1]
             # Every probe tau + shift is at most x1 + shift, and an event
             # time t four ulps past that has t - shift > x1 after rounding,
             # so the rows up to there are all the block reads.
             reach = x1 + max(shifts[i] for i in alive)
-            times, factors = table.through(reach + 4.0 * np.spacing(reach))
+            reach += 4.0 * np.spacing(reach)
+            pull(lambda held: held[-1] > reach)
             # times[k] is event time number row + k (0-based)
             block = (row, x1, base_cuts, times[1:], factors)
             yield [(block, i) for i in alive]
             alive = [] if last else [i for i in alive if not failed[i]]
+            times, factors = times[size:], factors[size:]
             # half a window: blocks of a whole window's events page-faulted
             # their arrays afresh (about 8x the minor faults on analyze_scan)
             row, size = row + size, min(4 * size, _WINDOW_EVENTS // 2)
@@ -841,6 +796,7 @@ def randomness_battery(
     """
     t = _check_time(seq, t)
     n_samples = _integer("n_samples", n_samples, 1000)
+    seed = _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     # the sorted times are freed once their phases are taken
     phases = phase_at_many(seq, np.sort(rng.uniform(0.0, t, n_samples)))

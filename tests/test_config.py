@@ -11,6 +11,7 @@ from windingphase import (
     parse_config,
     save_config,
 )
+from windingphase.cli import main
 
 MINIMAL = {
     "genus": 1,
@@ -184,6 +185,15 @@ def test_load_rejects_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_load_rejects_text_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(MINIMAL).encode("utf-16-le"))
+    with pytest.raises(ConfigError, match="utf16.json"):
+        load_config(path)
+    assert main(["chsh", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "configuration error:" in capsys.readouterr().err
 
 
 def test_load_missing_file_raises_oserror(tmp_path):

@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -557,6 +558,29 @@ def test_a_one_cpu_scan_starts_no_pool_thread():
     pool.assert_not_called()
     assert set().union(*run.threads.values()) == {threading.main_thread()}
     assert threading.active_count() == baseline
+
+
+def test_a_scan_makes_one_pool_and_builds_its_table_on_the_caller():
+    seq = _scan_sequence()
+    calls = []
+
+    def recording(name, original):
+        def call(*args):
+            calls.append((name, threading.current_thread()))
+            return original(*args)
+
+        return call
+
+    with mock.patch.object(sequence, "_WINDOW_EVENTS", 64), \
+            mock.patch.object(sequence, "event_arrays", recording("event_arrays", sequence.event_arrays)), \
+            mock.patch.object(sequence, "phase_at_many", recording("phase_at_many", sequence.phase_at_many)), \
+            mock.patch("concurrent.futures.ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pool:
+        run = _scanned(seq, 4)
+    # many rounds, one pool for all of them, every table call on the caller
+    assert max(len(blocks) for blocks in run.blocks.values()) > 3
+    pool.assert_called_once_with(3)
+    assert {name for name, _ in calls} == {"event_arrays", "phase_at_many"}
+    assert {thread for _, thread in calls} == {threading.main_thread()}
 
 
 def _assert_a_failure_stops_the_tasks(workers, reduce, total, name, starts_task):

@@ -563,6 +563,12 @@ class TestRandomnessBattery:
         assert "seed=5" in rep.discretization
         assert "pi" in rep.discretization
 
+    def test_seed_must_be_a_nonnegative_integer(self):
+        seq = make_seq(1, (1, 0), (1.0, 0.0), (1.0, 3.0), 2000.0)
+        for bad in (-1, 1.5, True):
+            with pytest.raises(DomainError, match="seed"):
+                randomness_battery(seq, 2000.0, 1000, seed=bad)
+
     def test_undersized_sample_rejected(self):
         seq = make_seq(1, (1, 0), (1.0, 0.0), (1.0, 3.0), 2000.0)
         with pytest.raises(DomainError):
