@@ -63,12 +63,8 @@ def _guard_events(count: int):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, str):
-        return value
     return format(float(value), ".17g")
 
 

@@ -114,8 +114,6 @@ def event_count(seq: PhaseSequence, t0: float = 0.0, t1: float = None) -> int:
     t1 = seq.horizon if t1 is None else t1
     t0, t1 = _check_window(seq, t0, t1)
     _, periods, _ = seq._active_arrays()
-    if periods.size == 0:
-        return 0
     n0 = _completed_windings(t0, periods)
     n1 = _completed_windings(t1, periods)
     return int(np.sum(n1 - n0))
@@ -192,7 +190,7 @@ def _chunk_end(start: int, size: int) -> int:
 
 
 def phase_at_many(seq: PhaseSequence, taus) -> np.ndarray:
-    """Vectorized accumulated phase for an array of times, each in [0, 2*pi).
+    """Vectorized accumulated phase for a scalar or 1-d array of times, each in [0, 2*pi).
 
     The (times x cycles) winding table is evaluated in row chunks, so memory
     does not grow with the number of times: chunks of _WINDOW_EVENTS rows
@@ -204,14 +202,13 @@ def phase_at_many(seq: PhaseSequence, taus) -> np.ndarray:
     wherever the last chunk was short.  find_almost_periods calls it on one
     such chunk of its event table at a time.
     """
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    if taus.size == 0:
-        return np.zeros_like(taus)
-    if not np.all(np.isfinite(taus)) or taus.min() < 0.0 or taus.max() > seq.horizon:
+    taus = np.asarray(taus, dtype=float)
+    if taus.ndim > 1:
+        raise DomainError(f"need a 1-d array of times, got shape {taus.shape}")
+    taus = np.atleast_1d(taus)
+    if taus.size and (not np.all(np.isfinite(taus)) or taus.min() < 0.0 or taus.max() > seq.horizon):
         raise DomainError(f"all times must lie in [0, horizon {seq.horizon}]")
     _, periods, increments = seq._active_arrays()
-    if periods.size == 0:
-        return np.zeros_like(taus)
     phases, start = np.empty(taus.size), 0
     while start < taus.size:
         stop = _chunk_end(start, taus.size)
@@ -548,8 +545,8 @@ def _block_discrepancy(cuts, shift, times, factors, horizon):
     place; a repeated cut makes a zero-width neighbour pair, which the
     sliver rule (see find_almost_periods) drops just as deduplicating would.
     ``factors[k]`` is e^{i Phi} from ``times[k - 1]`` (from the block's
-    start for k = 0) to ``times[k]``, and ``times`` runs past every probe.
-    Returns None when no segment is wider than the sliver.
+    start for k = 0) to ``times[k]``, and ``times`` runs past every probe or
+    to the horizon.  Returns None when no segment is wider than the sliver.
     """
     cuts.sort()
     left, right = cuts[:-1], cuts[1:]
@@ -558,7 +555,7 @@ def _block_discrepancy(cuts, shift, times, factors, horizon):
     if mids.size == 0:
         return None
     here = factors[np.searchsorted(times, mids, side="right")]
-    there = factors[np.searchsorted(times, np.minimum(mids + shift, horizon), side="right")]
+    there = factors[np.searchsorted(times, mids + shift, side="right")]
     return float(np.max(np.abs(there - here)))
 
 
@@ -613,24 +610,22 @@ def find_almost_periods(
             f"search_bound {search_bound} exceeds horizon/2 = {seq.horizon / 2.0}; "
             "the shifted window must fit inside the horizon"
         )
+    if not math.isfinite(search_bound / sample_step):
+        raise DomainError(f"sample_step {sample_step!r} is too small: search_bound / sample_step overflows")
 
     window_end = seq.horizon - search_bound
-    shifts = [np.arange(1, math.floor(search_bound / sample_step) + 1) * sample_step]
-    _, periods, _ = seq._active_arrays()
-    for T in periods:
-        shifts.append(np.arange(1, math.floor(search_bound / T) + 1) * T)
-    candidates = np.unique(np.concatenate(shifts))
-    candidates = candidates[(candidates > 0.0) & (candidates <= search_bound)]
-
-    shifts = candidates.tolist()
-    # per shift: how many event times precede its next shifted cut, its
-    # running supremum, and whether a block exceeded epsilon
-    los, worsts, failed = [0] * len(shifts), [None] * len(shifts), [False] * len(shifts)
+    # the multiples up to search_bound of the grid pitch and of every active period
+    pitches = [sample_step, *seq._active_arrays()[1].tolist()]
+    grids = [np.arange(1, math.floor(search_bound / T) + 1) * T for T in pitches]
+    shifts = np.unique(np.concatenate(grids))
+    shifts = shifts[shifts <= search_bound].tolist()
+    # per shift: its running supremum, and whether a block exceeded epsilon
+    worsts, failed = [None] * len(shifts), [False] * len(shifts)
 
     def blocks():
         """One round of (block, shift index) tasks per block, for the shifts still within epsilon."""
-        chunks, alive, row, size = _factor_chunks(seq), list(range(len(shifts))), 0, 64
-        # the held rows, from global row ``row`` on
+        chunks, alive, size = _factor_chunks(seq), list(range(len(shifts))), 64
+        # the held rows, from the block's start on
         times, factors = np.zeros(0), np.zeros(0, dtype=complex)
 
         def pull(enough):
@@ -643,46 +638,44 @@ def find_almost_periods(
                 times, factors = np.concatenate((times, chunk[0])), np.concatenate((factors, chunk[1]))
 
         while alive:
-            # the block runs from row ``row``'s time to the base event time
+            # the block runs from the first held time to the base event time
             # ``size`` rows on, or to the window end when no more than
             # ``size`` base event times are left
             pull(lambda held: held.size >= size + 2)
             last = not (times.size > size + 1 and times[size + 1] <= window_end)
             if last:
-                x1 = window_end
                 base = np.searchsorted(times, window_end, side="right")
-                base_cuts = np.concatenate((times[:base], [x1]))
+                base_cuts = np.concatenate((times[:base], [window_end]))
             else:
-                x1, base_cuts = times[size], times[: size + 1]
-            # Every probe tau + shift is at most x1 + shift, and an event
-            # time t four ulps past that has t - shift > x1 after rounding,
-            # so the rows up to there are all the block reads.
-            reach = x1 + max(shifts[i] for i in alive)
+                base_cuts = times[: size + 1]
+            # Every probe tau + shift is at most the block's end x1 + shift,
+            # and an event time t four ulps past that has t - shift > x1
+            # after rounding, so the rows up to there are all the block reads.
+            reach = base_cuts[-1] + max(shifts[i] for i in alive)
             reach += 4.0 * np.spacing(reach)
             pull(lambda held: held[-1] > reach)
-            # times[k] is event time number row + k (0-based)
-            block = (row, x1, base_cuts, times[1:], factors)
-            yield [(block, i) for i in alive]
+            yield [((base_cuts, times[1:], factors), i) for i in alive]
             alive = [] if last else [i for i in alive if not failed[i]]
             times, factors = times[size:], factors[size:]
             # half a window: blocks of a whole window's events page-faulted
             # their arrays afresh (about 8x the minor faults on analyze_scan)
-            row, size = row + size, min(4 * size, _WINDOW_EVENTS // 2)
+            size = min(4 * size, _WINDOW_EVENTS // 2)
 
     def scan(_, block, i):
-        row, x1, base_cuts, times, factors = block
+        base_cuts, times, factors = block
         shift = shifts[i]
-        lo = los[i] - row if row else int(np.searchsorted(times, shift, side="right"))
         hi = int(np.searchsorted(times, shift + window_end, side="right"))
-        # times[lo:end] - shift are the shifted event times up to x1.  The
-        # search on x1 + shift may be off by rounding; t - shift rounds
+        # For each block edge x, count the times t with t - shift <= x: so
+        # times[lo:end] - shift are the shifted event times inside the block.
+        # The search on x + shift may be off by rounding; t - shift rounds
         # monotonically in t, so stepping on the differences settles it.
-        end = min(max(int(np.searchsorted(times, x1 + shift, side="right")), lo), hi)
-        while end > lo and times[end - 1] - shift > x1:
-            end -= 1
-        while end < hi and times[end] - shift <= x1:
-            end += 1
-        los[i] = row + end
+        lo = end = 0
+        for x in (base_cuts[0], base_cuts[-1]):
+            lo, end = end, min(max(int(np.searchsorted(times, x + shift, side="right")), end), hi)
+            while end > lo and times[end - 1] - shift > x:
+                end -= 1
+            while end < hi and times[end] - shift <= x:
+                end += 1
         worst = _block_discrepancy(
             np.concatenate((base_cuts, times[lo:end] - shift)), shift, times, factors, seq.horizon
         )
@@ -702,7 +695,7 @@ def find_almost_periods(
         candidates=tuple(passing),
         window=(0.0, float(window_end)),
         sample_step=sample_step,
-        scanned=int(candidates.size),
+        scanned=len(shifts),
     )
 
 
@@ -743,8 +736,13 @@ def _lag1_circular_correlation(z: np.ndarray) -> complex:
     return complex(np.sum(z[:-1] * np.conj(z[1:])) / denom)
 
 
-def _permutation_entropy(x: np.ndarray, order: int = 3) -> float:
-    """Normalized entropy of the order-``order`` rank patterns, counted _WINDOW_EVENTS at a time."""
+# The length of the rank patterns whose entropy score_phase_samples reports.
+_PATTERN_ORDER = 3
+
+
+def _permutation_entropy(x: np.ndarray) -> float:
+    """Normalized entropy of the _PATTERN_ORDER rank patterns, counted _WINDOW_EVENTS at a time."""
+    order = _PATTERN_ORDER
     windows = np.lib.stride_tricks.sliding_window_view(x, order)
     weights = order ** np.arange(order)
     counts = np.zeros(order**order, dtype=np.int64)

@@ -296,42 +296,30 @@ class IncommensurabilityReport:
         return not any(v.commensurable for v in self.verdicts)
 
 
-def _convergents(x: float, max_denominator: int):
-    """Continued-fraction convergents p/q of x with q <= max_denominator."""
-    out = []
-    a0 = math.floor(x)
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = a0, 1
-    out.append(Fraction(p_cur, q_cur))
-    frac = x - a0
-    for _ in range(128):
-        if frac <= 0.0:
-            break
-        x = 1.0 / frac
-        if not math.isfinite(x):
-            break
-        a = math.floor(x)
-        p_nxt = a * p_cur + p_prev
-        q_nxt = a * q_cur + q_prev
-        if q_nxt > max_denominator:
-            break
-        out.append(Fraction(p_nxt, q_nxt))
-        p_prev, q_prev = p_cur, q_cur
-        p_cur, q_cur = p_nxt, q_nxt
-        frac = x - a
-    return out
-
-
 def _best_convergent(x: float, max_denominator: int):
+    """(p/q, |x - p/q|) for the continued-fraction convergent of x nearest x.
+
+    Only convergents with q <= max_denominator and p != 0 count: 0/1
+    approximates any tiny ratio but witnesses no rational relation between
+    strictly positive periods.  (None, inf) when none counts, as for a
+    non-finite x (a ratio of periods that overflowed).
+    """
     best, best_err = None, math.inf
-    for f in _convergents(x, max_denominator):
-        if f.numerator == 0:
-            # 0/1 approximates any tiny ratio but witnesses no rational
-            # relation between strictly positive periods
-            continue
-        err = abs(x - f.numerator / f.denominator)
-        if err < best_err:
-            best, best_err = f, err
+    if not math.isfinite(x):
+        return best, best_err
+    p_prev, q_prev, p, q = 1, 0, math.floor(x), 1
+    frac = x - p
+    for _ in range(129):  # p/q runs through the convergents, the first 129 at most
+        err = abs(x - p / q)
+        if p != 0 and err < best_err:
+            best, best_err = Fraction(p, q), err
+        if frac <= 0.0 or not math.isfinite(y := 1.0 / frac):
+            break
+        a = math.floor(y)
+        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
+        if q > max_denominator:
+            break
+        frac = y - a
     return best, best_err
 
 

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from windingphase import (
+    ConfigError,
     config_digest,
     event_arrays,
     parse_config,
     phase_at,
     read_event_log,
+    run_subcommand,
     save_config,
     sequence,
     wrap_angle,
@@ -229,6 +231,18 @@ class TestSubcommands:
         assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == 0
         other_path, _ = write_config(tmp_path, name="other.json", seed=999)
         assert main(["report", "--config", str(other_path), "--out", str(out)]) == 1
+
+    def test_report_without_prior_outputs_says_so(self, tmp_path):
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert "no prior subcommand outputs found in this directory" in (out / "summary.txt").read_text()
+
+    def test_unknown_subcommand_is_a_config_error(self, tmp_path):
+        cfg = parse_config(small_config(out_dir=str(tmp_path / "out")))
+        with pytest.raises(ConfigError, match="nope"):
+            run_subcommand(cfg, "nope")
+        assert not (tmp_path / "out").exists()
 
 
 class TestReproducibility:

@@ -122,6 +122,16 @@ def test_event_window_validation():
         parse_config(dict(MINIMAL, event_window=[0.0, 200.0]))
 
 
+@pytest.mark.parametrize(
+    "key, value, named",
+    [("event_window", [0.0, 200.0], "event_window"), ("residual_horizons", [10.0, 200.0], "residual_horizons[1]")],
+)
+def test_times_past_the_horizon_name_their_key(key, value, named):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(dict(MINIMAL, **{key: value}))
+    assert exc.value.key == named
+
+
 def test_residual_horizons_must_ascend():
     with pytest.raises(ConfigError) as exc:
         parse_config(dict(MINIMAL, residual_horizons=[10.0, 5.0]))
@@ -184,6 +194,13 @@ def test_load_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def test_load_rejects_a_top_level_list(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([MINIMAL]))
+    with pytest.raises(ConfigError, match="top level must be a mapping"):
         load_config(path)
 
 

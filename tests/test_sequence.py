@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from oracles import fourier_spectrum_exact, phase_fraction
 from windingphase import (
+    AlmostPeriodReport,
     CycleAssignment,
+    DimensionError,
     DomainError,
     PhaseSequence,
     SurfaceSpec,
@@ -122,6 +124,15 @@ class TestEvents:
         assert by_cycle[1] == pytest.approx(-0.5, abs=1e-15)
 
 
+def test_sequence_parts_must_live_on_its_surface():
+    s1, s2 = SurfaceSpec(1), SurfaceSpec(2)
+    assign = CycleAssignment(s1, (0.5, 0.5), (1.0, 2.0))
+    with pytest.raises(DimensionError, match="chain"):
+        PhaseSequence(s1, WindingChain(s2, (1, 0, 0, 0)), assign, 10.0)
+    with pytest.raises(DimensionError, match="assignment"):
+        PhaseSequence(s2, WindingChain(s2, (1, 0, 0, 0)), assign, 10.0)
+
+
 class TestPhaseAt:
     def test_zero_before_first_winding(self):
         seq = make_seq(1, (1, 1), (0.7, 0.3), (2.0, 3.0), 100.0)
@@ -151,6 +162,14 @@ class TestPhaseAt:
             phase_at(seq, 100.5)
         with pytest.raises(DomainError):
             phase_at_many(seq, [1.0, 100.5])
+
+    def test_vectorized_takes_scalars_and_1d_arrays_only(self):
+        seq = make_seq(1, (1, 0), (0.7, 0.3), (1.0, 5.0), 100.0)
+        assert phase_at_many(seq, 2.5).shape == (1,)
+        assert phase_at_many(seq, []).shape == (0,)
+        for taus in ([[1.0, 2.0], [3.0, 4.0]], np.zeros((0, 3))):
+            with pytest.raises(DomainError, match="1-d"):
+                phase_at_many(seq, taus)
 
     def test_oracle_equivalence_random_draws(self):
         rng = np.random.default_rng(77)
@@ -522,6 +541,17 @@ class TestFindAlmostPeriods:
         # epsilon = 2.1 > diameter of the unit circle: everything passes
         assert len(rep.candidates) == rep.scanned
         assert rep.best().discrepancy == min(c.discrepancy for c in rep.candidates)
+
+    def test_sample_step_whose_grid_overflows_is_refused(self):
+        # search_bound / 5e-324 is inf: there is no grid to count
+        seq = make_seq(1, (1, 0), (0.5, 0.5), (1.0, 2.0), 50.0)
+        with pytest.raises(DomainError, match="sample_step"):
+            find_almost_periods(seq, 0.3, 10.0, 5e-324)
+
+    def test_best_needs_a_passing_candidate(self):
+        rep = AlmostPeriodReport(epsilon=0.1, candidates=(), window=(0.0, 40.0), sample_step=1.0, scanned=10)
+        with pytest.raises(ValueError, match="no candidate"):
+            rep.best()
 
 
 class TestRandomnessBattery:

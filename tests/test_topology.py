@@ -221,6 +221,8 @@ class TestHolonomyLoop:
             holonomy_loop([(-0.1, 1.0), (1.0, 1.0)])
         with pytest.raises(DomainError):
             holonomy_loop([(0.0, 1.0), (TWO_PI + 0.1, 1.0)])
+        with pytest.raises(DomainError, match="finite"):
+            holonomy_loop([(0.0, math.nan), (1.0, 1.0)])
 
 
 class TestCertifyIncommensurable:
@@ -301,6 +303,25 @@ class TestCertifyIncommensurable:
         ).verdicts[0]
         assert not v.commensurable
 
+    # The last three pairs' ratios overflow to inf in one orientation and
+    # underflow to a subnormal or 0 in the other: neither has a convergent
+    # that counts.
+    @pytest.mark.parametrize(
+        "periods, verdict",
+        [
+            ((2.0, 4.0), "commensurable"),
+            ((1.0, math.sqrt(2)), "incommensurable-at-depth"),
+            ((1e-300, 1e10), "incommensurable-at-depth"),
+            ((1e-200, 1e200), "incommensurable-at-depth"),
+            ((1.0, 1e-310), "incommensurable-at-depth"),
+        ],
+        ids=["rational", "sqrt2", "subnormal-and-inf", "zero-and-inf", "inf-and-subnormal"],
+    )
+    def test_verdict_names_the_outcome(self, periods, verdict):
+        v = certify_incommensurable(CycleAssignment(SurfaceSpec(1), (0.0, 0.0), periods), 64, 1e-9).verdicts[0]
+        assert v.verdict == verdict
+        assert (v.witness is None) == (verdict == "incommensurable-at-depth")
+
     def test_genus_zero_has_no_pairs(self):
         s = SurfaceSpec(0)
         rep = certify_incommensurable(CycleAssignment(s, (), ()), 64, 1e-9)
@@ -336,6 +357,16 @@ def test_non_numbers_raise_domain_error(call):
     seq = PhaseSequence(s, WindingChain(s, (1, 1)), assign, 100.0)
     with pytest.raises(DomainError):
         call(s, assign, seq)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: WindingChain(SurfaceSpec(1), (1, 0)) + 1, lambda: U1Phase(0.1) * 1],
+    ids=["chain", "phase"],
+)
+def test_group_operations_refuse_other_types(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 def test_integer_too_large_for_a_float_raises_domain_error():
