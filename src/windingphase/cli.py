@@ -57,9 +57,9 @@ def build_pair(config: ExperimentConfig) -> PairConfig:
     return PairConfig(*build_sequences(config))
 
 
-def _guard_events(count: int):
+def _guard_events(count: int, what: str = "events"):
     if count > GUARD_MAX_EVENTS:
-        raise ResourceGuardError(count, GUARD_MAX_EVENTS)
+        raise ResourceGuardError(count, GUARD_MAX_EVENTS, what)
 
 
 def _fmt(value) -> str:
@@ -139,10 +139,10 @@ def _run_analyze(config, out_dir):
     _guard_events(event_count(seq, 0.0, config.horizon))
     # the scan's fallback grid of shifts; a subnormal step overflows it to inf
     grid = search_bound / config.sample_step
-    _guard_events(math.floor(grid) if math.isfinite(grid) else grid)
+    _guard_events(math.floor(grid) if math.isfinite(grid) else grid, "almost-period shifts")
     # the randomness samples and the spectrum's lams are arrays of that length
-    _guard_events(config.n_samples)
-    _guard_events(config.spectrum_lambda_count)
+    _guard_events(config.n_samples, "randomness samples")
+    _guard_events(config.spectrum_lambda_count, "spectrum lambdas")
 
     ap = find_almost_periods(seq, config.epsilon, search_bound, config.sample_step)
     yield "almost_periods.csv", functools.partial(
@@ -183,7 +183,7 @@ def _run_correlate(config, out_dir):
     t = config.resolved().correlation_time
     pair = _guard_pair(config, t)
     n = config.angle_grid_size
-    _guard_events(n * n)
+    _guard_events(n * n, "correlation settings")
     thetas = [2.0 * math.pi * k / n for k in range(n)]
     grid = correlations(pair, [(ta, tb) for ta in thetas for tb in thetas], t)
     yield "correlate.csv", functools.partial(
@@ -275,8 +275,6 @@ def _summarize_randomness(rows) -> List[str]:
 
 
 def _summarize_correlate(rows) -> List[str]:
-    if not rows:
-        return []
     worst = max(abs(float(r["residual"])) for r in rows)
     return [f"  correlation grid: {len(rows)} settings, max |residual| = {worst:.6f}"]
 

@@ -25,11 +25,9 @@ class ConfigError(WindingPhaseError):
 
 
 class ResourceGuardError(WindingPhaseError):
-    """A run would generate more events than the configured guard allows."""
+    """A run would generate more events (or ``what`` it counts) than the configured guard allows."""
 
-    def __init__(self, event_count, limit):
-        super().__init__(
-            f"run would generate {event_count} events, guard limit is {limit}"
-        )
+    def __init__(self, event_count, limit, what="events"):
+        super().__init__(f"run would generate {event_count} {what}, guard limit is {limit}")
         self.event_count = event_count
         self.limit = limit

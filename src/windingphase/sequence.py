@@ -63,10 +63,9 @@ class PhaseSequence:
     horizon: float
 
     def __post_init__(self):
-        if self.chain.surface != self.surface:
-            raise DimensionError("chain does not live on the sequence's surface")
-        if self.assignment.surface != self.surface:
-            raise DimensionError("assignment does not live on the sequence's surface")
+        for name, part in (("chain", self.chain), ("assignment", self.assignment)):
+            if part.surface != self.surface:
+                raise DimensionError(f"{name} does not live on the sequence's surface")
         object.__setattr__(self, "horizon", _real("horizon", self.horizon, positive=True))
 
     @property
@@ -537,8 +536,8 @@ def _factor_chunks(seq: PhaseSequence):
             yield chunk, _unit_phasors(phase_at_many(seq, chunk), np.empty(chunk.size, dtype=complex))
 
 
-def _block_discrepancy(cuts, shift, times, factors, horizon):
-    """Largest |e^{i Phi(tau + shift)} - e^{i Phi(tau)}| over one block's segments.
+def _block_discrepancy(cuts, shift, times, factors, sliver):
+    """Largest |e^{i Phi(tau + shift)} - e^{i Phi(tau)}| over one block's segments wider than ``sliver``.
 
     ``cuts`` holds the block's two edges and every base and shifted event
     time between them, unsorted and possibly repeated.  It is sorted in
@@ -546,17 +545,16 @@ def _block_discrepancy(cuts, shift, times, factors, horizon):
     sliver rule (see find_almost_periods) drops just as deduplicating would.
     ``factors[k]`` is e^{i Phi} from ``times[k - 1]`` (from the block's
     start for k = 0) to ``times[k]``, and ``times`` runs past every probe or
-    to the horizon.  Returns None when no segment is wider than the sliver.
+    to the horizon.  A block of slivers only gives 0.0, which leaves a
+    running maximum of discrepancies (never negative) as it was.
     """
     cuts.sort()
     left, right = cuts[:-1], cuts[1:]
-    wide = (right - left) > 4.0 * np.spacing(horizon)
+    wide = (right - left) > sliver
     mids = 0.5 * (left[wide] + right[wide])
-    if mids.size == 0:
-        return None
     here = factors[np.searchsorted(times, mids, side="right")]
     there = factors[np.searchsorted(times, mids + shift, side="right")]
-    return float(np.max(np.abs(there - here)))
+    return float(np.max(np.abs(there - here), initial=0.0))
 
 
 def find_almost_periods(
@@ -589,18 +587,25 @@ def find_almost_periods(
     _WINDOW_EVENTS // 2, and the last ends at the window end.  Every block
     edge is a base event time (or 0 or the window end), so a cut of the
     whole window's partition: the blocks' segments are the whole window's,
-    with the same midpoints.  The running maximum over the blocks is thus
-    the whole-window supremum bit for bit, and the first block over
-    ``epsilon`` rejects a shift as the whole window would; later blocks scan
-    only the shifts still within it.  Phases are looked up in the table of
-    [0.0] + the distinct event times and their factors e^{i Phi}, streamed
-    from _factor_chunks on this thread, so event_arrays and phase_at_many
-    run there: each block pulls chunks until it holds its rows up to its end
-    plus the largest shift still scanned and drops the rows before its end
-    once scanned, so memory grows with the block size and the events within
-    ``search_bound``, not with the horizon.  Each block's shifts are
-    _run_tasks tasks, each result stored at its shift's index, so the
-    report equals a one-thread scan's; a passing shift costs O(horizon).
+    with the same midpoints.  A shift's running maximum over the blocks is
+    thus its whole-window supremum bit for bit; the shift is scanned while
+    that stays within ``epsilon`` and reported if it ends there.  A block
+    (x0, x1] takes the shifted event times d = t - shift with x0 < d <= x1
+    from one search for [x0 + shift - 4u, x1 + shift + 4u) and that exact
+    test on the computed d: it keeps exactly the right rows, since the
+    computed t - shift never decreases as t grows, and the bracket holds
+    every such t, since each rounding is within u / 2.  A d equal to the
+    window end repeats an edge, a zero-width neighbour the sliver rule drops.
+
+    Phases are looked up in the table of [0.0] + the distinct event times
+    and their factors e^{i Phi}, streamed from _factor_chunks on this
+    thread, so event_arrays and phase_at_many run there: each block pulls
+    chunks until it holds its rows up to its end plus the largest shift
+    still scanned and drops the rows before its end once scanned, so memory
+    grows with the block size and the events within ``search_bound``, not
+    with the horizon.  Each block's shifts are _run_tasks tasks, each result
+    stored at its shift's index, so the report equals a one-thread scan's; a
+    passing shift costs O(horizon).
     """
     epsilon = _real("epsilon", epsilon, positive=True)
     sample_step = _real("sample_step", sample_step, positive=True)
@@ -614,13 +619,14 @@ def find_almost_periods(
         raise DomainError(f"sample_step {sample_step!r} is too small: search_bound / sample_step overflows")
 
     window_end = seq.horizon - search_bound
+    sliver = 4.0 * np.spacing(seq.horizon)
     # the multiples up to search_bound of the grid pitch and of every active period
     pitches = [sample_step, *seq._active_arrays()[1].tolist()]
     grids = [np.arange(1, math.floor(search_bound / T) + 1) * T for T in pitches]
     shifts = np.unique(np.concatenate(grids))
     shifts = shifts[shifts <= search_bound].tolist()
-    # per shift: its running supremum, and whether a block exceeded epsilon
-    worsts, failed = [None] * len(shifts), [False] * len(shifts)
+    # per shift, its running supremum over the blocks scanned so far
+    worsts = [0.0] * len(shifts)
 
     def blocks():
         """One round of (block, shift index) tasks per block, for the shifts still within epsilon."""
@@ -642,20 +648,15 @@ def find_almost_periods(
             # ``size`` rows on, or to the window end when no more than
             # ``size`` base event times are left
             pull(lambda held: held.size >= size + 2)
-            last = not (times.size > size + 1 and times[size + 1] <= window_end)
-            if last:
-                base = np.searchsorted(times, window_end, side="right")
-                base_cuts = np.concatenate((times[:base], [window_end]))
-            else:
-                base_cuts = times[: size + 1]
-            # Every probe tau + shift is at most the block's end x1 + shift,
-            # and an event time t four ulps past that has t - shift > x1
-            # after rounding, so the rows up to there are all the block reads.
-            reach = base_cuts[-1] + max(shifts[i] for i in alive)
-            reach += 4.0 * np.spacing(reach)
+            base = np.searchsorted(times, window_end, side="right")
+            last = base <= size + 1
+            base_cuts = np.append(times[:base], window_end) if last else times[: size + 1]
+            # every probe tau + shift and every bracket (see scan) ends by
+            # the block's end plus the largest shift plus the sliver
+            reach = base_cuts[-1] + max(shifts[i] for i in alive) + sliver
             pull(lambda held: held[-1] > reach)
             yield [((base_cuts, times[1:], factors), i) for i in alive]
-            alive = [] if last else [i for i in alive if not failed[i]]
+            alive = [] if last else [i for i in alive if worsts[i] <= epsilon]
             times, factors = times[size:], factors[size:]
             # half a window: blocks of a whole window's events page-faulted
             # their arrays afresh (about 8x the minor faults on analyze_scan)
@@ -664,32 +665,15 @@ def find_almost_periods(
     def scan(_, block, i):
         base_cuts, times, factors = block
         shift = shifts[i]
-        hi = int(np.searchsorted(times, shift + window_end, side="right"))
-        # For each block edge x, count the times t with t - shift <= x: so
-        # times[lo:end] - shift are the shifted event times inside the block.
-        # The search on x + shift may be off by rounding; t - shift rounds
-        # monotonically in t, so stepping on the differences settles it.
-        lo = end = 0
-        for x in (base_cuts[0], base_cuts[-1]):
-            lo, end = end, min(max(int(np.searchsorted(times, x + shift, side="right")), end), hi)
-            while end > lo and times[end - 1] - shift > x:
-                end -= 1
-            while end < hi and times[end] - shift <= x:
-                end += 1
-        worst = _block_discrepancy(
-            np.concatenate((base_cuts, times[lo:end] - shift)), shift, times, factors, seq.horizon
-        )
-        if worst is None:
-            return
-        if worst > epsilon:
-            failed[i] = True
-        else:
-            worsts[i] = worst if worsts[i] is None else max(worsts[i], worst)
+        x0, x1 = base_cuts[0], base_cuts[-1]
+        a, b = np.searchsorted(times, (x0 + shift - sliver, x1 + shift + sliver))
+        shifted = times[a:b] - shift
+        shifted = shifted[(x0 < shifted) & (shifted <= x1)]
+        worst = _block_discrepancy(np.concatenate((base_cuts, shifted)), shift, times, factors, sliver)
+        worsts[i] = max(worsts[i], worst)
 
     _run_tasks(blocks(), len(shifts), lambda: None, scan)
-    passing = [
-        AlmostPeriodCandidate(s, w) for s, w, f in zip(shifts, worsts, failed) if w is not None and not f
-    ]
+    passing = [AlmostPeriodCandidate(s, w) for s, w in zip(shifts, worsts) if w <= epsilon]
     return AlmostPeriodReport(
         epsilon=epsilon,
         candidates=tuple(passing),

@@ -134,14 +134,9 @@ class CycleAssignment:
     periods: Tuple[float, ...]
 
     def __post_init__(self):
-        if len(self.betas) != self.surface.basis_size:
-            raise DimensionError(
-                f"{len(self.betas)} betas for basis size {self.surface.basis_size}"
-            )
-        if len(self.periods) != self.surface.basis_size:
-            raise DimensionError(
-                f"{len(self.periods)} periods for basis size {self.surface.basis_size}"
-            )
+        for name, part in (("betas", self.betas), ("periods", self.periods)):
+            if len(part) != self.surface.basis_size:
+                raise DimensionError(f"{len(part)} {name} for basis size {self.surface.basis_size}")
         betas = (wrap_angle(_real(f"betas[{k}]", b)) for k, b in enumerate(self.betas))
         periods = (_real(f"periods[{k}]", t, positive=True) for k, t in enumerate(self.periods))
         object.__setattr__(self, "betas", tuple(betas))

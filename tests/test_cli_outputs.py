@@ -50,12 +50,23 @@ def test_tiny_sample_step_trips_the_guard(tmp_path, capsys, step):
     cfg_path, _ = write_config(tmp_path, sample_step=step)
     out = tmp_path / "out"
     assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert "resource guard" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "resource guard" in err
+    # the message names what it counts: the step's grid of shifts
+    assert " almost-period shifts, guard limit" in err
     assert not (out / "almost_periods.csv").exists()
 
 
 # Counts the config schema accepts but no run could hold in memory: each is
-# refused before the array of that length (or the grid's settings) is built.
+# refused before the array of that length (or the grid's settings) is built,
+# and the message names what it counts.
+NOUNS = {
+    "n_samples": "randomness samples",
+    "spectrum_lambda_count": "spectrum lambdas",
+    "angle_grid_size": "correlation settings",
+}
+
+
 @pytest.mark.parametrize(
     "subcommand, key, count, table",
     [
@@ -70,5 +81,6 @@ def test_huge_counts_trip_the_guard(tmp_path, capsys, subcommand, key, count, ta
     assert main([subcommand, "--config", str(cfg_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "resource guard" in err
+    assert f" {NOUNS[key]}, guard limit" in err
     assert "Traceback" not in err
     assert not (out / table).exists()

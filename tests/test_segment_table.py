@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import math
+import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -154,6 +155,53 @@ def test_blockwise_scan_matches_whole_window_oracle(data, seq):
         whole = np.unique(np.concatenate(([0.0], times, times[lo:hi] - shift, [window_end])))
         whole = whole[(whole >= 0.0) & (whole <= cut_sets[-1][-1])]
         assert np.array_equal(np.unique(np.concatenate(cut_sets)), whole)
+
+
+@st.composite
+def coarse_scans(draw):
+    """(seq, epsilon, search_bound, sample_step) at horizons 1e4-1e8, where an ulp is large.
+
+    Two active cycles fire 8-400 times each, the second period sometimes an
+    exact multiple of the first so that shifted event times land on base
+    event times; the grid pitch is either 2 * search_bound (no grid shifts)
+    or a fraction of it.
+    """
+    surface = SurfaceSpec(1)
+    horizon = draw(st.floats(1e4, 1e8))
+    multiple = draw(st.sampled_from([0, 2, 3]))  # 0: a period of its own
+    first = horizon / draw(st.floats(8.0 * max(multiple, 1), 400.0))
+    second = first * multiple if multiple else horizon / draw(st.floats(8.0, 400.0))
+    betas = st.one_of(st.floats(0.0, 0.1), st.floats(0.0, TWO_PI, exclude_max=True))
+    assign = CycleAssignment(surface, draw(st.lists(betas, min_size=2, max_size=2)), (first, second))
+    chain = draw(st.lists(st.sampled_from([1, -1, 2, -2]), min_size=2, max_size=2))
+    seq = PhaseSequence(surface, WindingChain(surface, chain), assign, horizon)
+    search_bound = draw(st.floats(min(first, second), horizon / 2.0))
+    pitch = draw(st.one_of(st.just(2.0), st.floats(0.02, 0.5)))
+    return seq, draw(st.floats(0.05, 2.0)), search_bound, pitch * search_bound
+
+
+@PROPERTY
+@given(scan=coarse_scans())
+def test_bracketed_scan_matches_whole_window_oracle_at_large_horizons(scan):
+    seq = scan[0]
+    cut_sets, evaluate = {}, sequence._block_discrepancy
+
+    def recording_block(cuts, shift, *rest):
+        cut_sets.setdefault(float(shift), []).append(np.unique(cuts))
+        return evaluate(cuts, shift, *rest)
+
+    with mock.patch.object(sequence, "_block_discrepancy", recording_block):
+        got = find_almost_periods(*scan)
+    assert got == almost_periods_whole_window(*scan)
+    # A shifted time that rounds onto a block edge's neighbour moves no
+    # probe to another segment, so only the cuts show a search that missed
+    # it: each shift's blocks hold the oracle's whole-window cuts.
+    times = np.unique(sequence.event_arrays(seq, 0.0, seq.horizon)[0])
+    window_end = got.window[1]
+    for shift, blocks in cut_sets.items():
+        lo, hi = np.searchsorted(times, (shift, shift + window_end), side="right")
+        whole = np.unique(np.concatenate(([0.0], times, times[lo:hi] - shift, [window_end])))
+        assert np.array_equal(np.unique(np.concatenate(blocks)), whole[whole <= blocks[-1][-1]])
 
 
 @PROPERTY
@@ -558,6 +606,15 @@ def test_a_one_cpu_scan_starts_no_pool_thread():
     pool.assert_not_called()
     assert set().union(*run.threads.values()) == {threading.main_thread()}
     assert threading.active_count() == baseline
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert sequence._usable_cpus() == 3
+    # os.cpu_count() is None where the count cannot be determined
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert sequence._usable_cpus() == 1
 
 
 def test_a_scan_makes_one_pool_and_builds_its_table_on_the_caller():
