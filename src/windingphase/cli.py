@@ -232,20 +232,22 @@ def _run_report(config, out_dir):
         try:
             manifest = load_manifest(mpath)
             verify_manifest(manifest, out_dir)
-        except (ValueError, KeyError, TypeError) as exc:
-            # unreadable JSON, a missing key or a mistyped value, or a bad digest
+            if manifest.config_digest != digest:
+                raise ConfigError(
+                    f"{mpath}: written under a different config "
+                    f"(digest {manifest.config_digest})"
+                )
+            lines.append(f"[{name}] {len(manifest.files)} file(s), digests verified")
+            lines.extend(f"  {record.name}: {record.rows} row(s)" for record in manifest.files)
+            for record in manifest.files:
+                if record.name in _SUMMARIES:
+                    with open(os.path.join(out_dir, record.name), encoding="utf-8", newline="") as fh:
+                        lines.extend(_SUMMARIES[record.name](list(csv.DictReader(fh))))
+        except (ValueError, KeyError, TypeError, csv.Error) as exc:
+            # unreadable JSON, a missing key or a mistyped value, a bad digest,
+            # or a table its summary cannot read (no rows, a missing column, a
+            # field over the csv size limit)
             raise OSError(f"output integrity check failed: {exc}") from exc
-        if manifest.config_digest != digest:
-            raise ConfigError(
-                f"{mpath}: written under a different config "
-                f"(digest {manifest.config_digest})"
-            )
-        lines.append(f"[{name}] {len(manifest.files)} file(s), digests verified")
-        lines.extend(f"  {record.name}: {record.rows} row(s)" for record in manifest.files)
-        for record in manifest.files:
-            if record.name in _SUMMARIES:
-                with open(os.path.join(out_dir, record.name), encoding="utf-8", newline="") as fh:
-                    lines.extend(_SUMMARIES[record.name](list(csv.DictReader(fh))))
         lines.append("")
     if lines == header:
         lines += ["no prior subcommand outputs found in this directory", ""]

@@ -21,10 +21,10 @@ exact bits of the pair and t: both chains' integer coefficients, the
 (the window size, which sets where the sum is cut).  It holds (M2, segment
 count), so a hit builds no sequence and counts no event.  A settings sweep at
 one (pair, t) therefore sums the windows once, and every result has the bits
-of a fresh ``bohr_mean``.  ``residual_curve`` cuts its windows at its own
-horizons and keeps its own pass.  Both are the lam = 0 integrals of
-``sequence._window_integrals``, summed on every usable CPU with the bits of a
-one-thread pass.
+of a fresh ``bohr_mean``.  ``residual_curve`` asks for its horizons as the
+ends of one pass.  Both read the lam = 0 integrals at their ends from the one
+entry point ``sequence._window_integrals``, summed on every usable CPU with
+the bits of a one-thread pass.
 """
 
 from __future__ import annotations
@@ -191,14 +191,8 @@ def residual_curve(
     if any(b < a for a, b in zip(hs, hs[1:])):
         raise DomainError("horizons must be sorted ascending")
     rotation = cmath.exp(1j * (theta_a - theta_b))
-    integral = 0j
-    out = []
-    for end, row in zip(*_window_integrals(_doubled(pair.difference), (0.0,), hs[-1], hs)):
-        integral += complex(row[0])
-        while len(out) < len(hs) and hs[len(out)] == end:
-            t = hs[len(out)]
-            out.append((t, (rotation * integral).real / t))
-    return out
+    integrals = _window_integrals(_doubled(pair.difference), (0.0,), hs)[:, 0]
+    return [(h, (rotation * complex(i_h)).real / h) for h, i_h in zip(hs, integrals)]
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,15 @@ sequence; this module provides the generator plus the analysis battery
 
 The reductions over [0, t] (Bohr mean, Fourier spectrum, and the correlation
 moment and residual curve built on them) are integrals of e^{i Phi} against
-e^{-i lam tau}, the Bohr mean being lam = 0.  They share one segment kernel
-(``_window_terms``), applied window by window, each window holding about
-``_WINDOW_EVENTS`` events and starting from the phase of its integer winding
-counts reduced exactly mod 2*pi, and one scheduler (``_run_tasks``): one
-thread per usable CPU, each with state of its own, takes the next untaken
-task ((window, lam block) pairs, or the almost-period scan's shifts, one
-round per block), and the results are folded in task order, so they have the
+e^{-i lam tau}, the Bohr mean being lam = 0.  They ask one entry point
+(``_window_integrals``) for the integrals over [0, end] at the ends they
+need.  It applies one segment kernel (``_window_terms``) window by window,
+each window holding about ``_WINDOW_EVENTS`` events and starting from the
+phase of its integer winding counts reduced exactly mod 2*pi, and folds the
+windows' rows in window order.  One scheduler (``_run_tasks``) runs its
+(window, lam block) tasks and the almost-period scan's shifts (one round per
+block): one thread per usable CPU, each with state of its own, takes the next
+untaken task, and the results are folded in task order, so they have the
 bits of a one-thread pass.
 """
 
@@ -409,30 +411,34 @@ def _run_tasks(rounds, count: int, state, run) -> None:
             pool.shutdown()
 
 
-def _window_integrals(seq: PhaseSequence, lams, t: float, edges=()):
-    """(ends, rows): every window of [0, t]'s end time and its _window_terms row.
+def _window_integrals(seq: PhaseSequence, lams, ends) -> np.ndarray:
+    """Integral of e^{i Phi(tau)} e^{-i lam tau} over [0, end], per end (rows) and lam (columns).
 
-    ``rows[j, k]`` is window j's integral for ``lams[k]``.  The tasks are
-    (window j, lam block) pairs in window-major order, with min(len(lams),
-    ceil(cpus / window count)) lam blocks so that even one window gives every
-    usable CPU a task; each thread builds windows into buffers of its own.  A
-    row's bits do not depend on its thread, so folding the rows in window
-    order gives the bits of a one-thread pass.
+    ``ends`` must be ascending, each in (0, horizon].  The windows tile [0,
+    ends[-1]] and also end at every end.  The tasks are (window j, lam block)
+    pairs in window-major order, with min(len(lams), ceil(cpus / window
+    count)) lam blocks so that even one window gives every usable CPU a task;
+    each thread builds windows into buffers of its own and writes window j's
+    _window_terms into row j + 1.  A row's bits do not depend on its thread,
+    and the rows are folded in window order from a +0 row 0 (np.cumsum adds
+    them one after another, never pairwise), so an end's integral, the row
+    at its cut, has the bits of a one-thread pass.
     """
     lams = np.asarray(lams, dtype=float)
-    windows = _Windows(seq, t, edges)
+    windows = _Windows(seq, ends[-1], ends)
     m, k = len(windows), lams.size
     blocks = min(k, -(-_usable_cpus() // m))
     tasks = itertools.product(
         range(m), [slice(k * b // blocks, k * (b + 1) // blocks) for b in range(blocks)]
     )
-    rows = np.empty((m, k), dtype=complex)
+    rows = np.zeros((m + 1, k), dtype=complex)
 
     def work(buffers, j, block):
-        rows[j, block] = _window_terms(lams[block], *windows.build(j, buffers), buffers)
+        rows[j + 1, block] = _window_terms(lams[block], *windows.build(j, buffers), buffers)
 
     _run_tasks([tasks], m * blocks, windows.buffers, work)
-    return windows.cuts[1:].tolist(), rows
+    np.cumsum(rows, axis=0, out=rows)
+    return rows[np.searchsorted(windows.cuts, ends)]
 
 
 def _check_time(seq: PhaseSequence, t: float) -> float:
@@ -464,8 +470,7 @@ def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
 
     One coefficient per entry of ``lams``, all from one pass over the
     windows, each integrated in closed form on every constant segment (see
-    _window_terms).  The windows' terms are added in window order, so the
-    result is bit-identical to a one-thread pass.
+    _window_terms): _window_integrals' integral over [0, t], divided by t.
     """
     t = _check_time(seq, t)
     lams = np.asarray(lams, dtype=float)
@@ -474,12 +479,9 @@ def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
     lams = np.atleast_1d(lams)
     if not np.all(np.isfinite(lams)):
         raise DomainError("every lam must be finite")
-    out = np.zeros(lams.size, dtype=complex)
-    if lams.size == 0:
-        return out
-    for row in _window_integrals(seq, lams, t)[1]:
-        out += row
-    return out / t
+    if lams.size == 0:  # no window to walk
+        return np.zeros(0, dtype=complex)
+    return _window_integrals(seq, lams, (t,))[0] / t
 
 
 def fourier_bohr_coefficient(seq: PhaseSequence, lam: float, t: float) -> complex:

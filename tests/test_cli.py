@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -224,6 +225,32 @@ class TestSubcommands:
         with open(out / "events_a.csv", "a") as fh:
             fh.write("999,0,0.5\n")
         assert main(["report", "--config", str(cfg_path), "--out", str(out)]) == 3
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            pytest.param(lambda rows: rows[:1], id="no-rows"),
+            pytest.param(lambda rows: [r[:4] + r[5:] for r in rows], id="no-residual-column"),
+            pytest.param(lambda rows: rows + [["x" * 200000] * len(rows[0])], id="oversized-field"),
+        ],
+    )
+    def test_report_refuses_a_table_its_summary_cannot_read(self, tmp_path, capsys, forge):
+        cfg_path, _ = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["correlate", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in (out / "correlate.csv").read_text().splitlines()]
+        assert rows[0][4] == "residual"
+        text = "".join(",".join(r) + "\n" for r in forge(rows))
+        (out / "correlate.csv").write_text(text)
+        # the manifest is rewritten to match, so the digest check passes
+        mpath = out / "manifest_correlate.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["files"][0].update(
+            rows=text.count("\n") - 1, sha256=hashlib.sha256(text.encode()).hexdigest()
+        )
+        mpath.write_text(json.dumps(manifest))
+        assert main(["report", "--config", str(cfg_path), "--out", str(out)]) == 3
+        assert "output integrity check failed" in capsys.readouterr().err
 
     def test_report_rejects_foreign_config(self, tmp_path):
         cfg_path, _ = write_config(tmp_path)

@@ -742,6 +742,26 @@ def test_chsh_uses_the_same_estimates_as_correlation(pair, angles):
 
 @PROPERTY
 @given(data=st.data(), pair=pairs(), window_events=st.integers(1, 64))
+def test_window_integrals_are_the_window_terms_folded_in_order(data, pair, window_events):
+    """Each end's row is the running sum, from +0 and in window order, of the windows before it."""
+    seq = data.draw(st.sampled_from([pair.sequence_a, pair.sequence_b, pair.difference]))
+    lam = st.sampled_from([0.0, -0.0]) | st.floats(-20.0, 20.0)
+    lams = np.array(data.draw(st.lists(lam, min_size=1, max_size=4)))
+    ends = data.draw(st.lists(st.floats(0.5, pair.horizon), min_size=1, max_size=4))
+    ends = sorted(ends + ends[:1])  # one end repeated
+    with mock.patch.object(sequence, "_WINDOW_EVENTS", window_events):
+        got = sequence._window_integrals(seq, lams, ends)
+        windows = sequence._Windows(seq, ends[-1], ends)
+        buffers = windows.buffers()
+        running, at_cut = np.zeros(lams.size, dtype=complex), {}
+        for j in range(len(windows)):
+            running = running + sequence._window_terms(lams, *windows.build(j, buffers), buffers)
+            at_cut[float(windows.cuts[j + 1])] = running
+    assert got.tobytes() == np.array([at_cut[end] for end in ends]).tobytes()
+
+
+@PROPERTY
+@given(data=st.data(), pair=pairs(), window_events=st.integers(1, 64))
 def test_window_split_matches_whole_table_oracles(data, pair, window_events):
     seq = data.draw(st.sampled_from([pair.sequence_a, pair.sequence_b, pair.difference]))
     t = data.draw(st.floats(0.5, pair.horizon))
