@@ -32,6 +32,7 @@ from .errors import ConfigError, DimensionError, DomainError, ResourceGuardError
 from .eventlog import write_event_log
 from .sequence import (
     PhaseSequence,
+    _check_lams,
     event_count,
     find_almost_periods,
     fourier_spectrum,
@@ -143,6 +144,10 @@ def _run_analyze(config, out_dir):
     # the randomness samples and the spectrum's lams are arrays of that length
     _guard_events(config.n_samples, "randomness samples")
     _guard_events(config.spectrum_lambda_count, "spectrum lambdas")
+    # refused here, before any table is written, if the spectrum would refuse them
+    lambdas = _check_lams(
+        np.linspace(0.0, config.spectrum_lambda_max, config.spectrum_lambda_count), config.horizon
+    )
 
     ap = find_almost_periods(seq, config.epsilon, search_bound, config.sample_step)
     yield "almost_periods.csv", functools.partial(
@@ -161,7 +166,6 @@ def _run_analyze(config, out_dir):
                battery.sample_count)],
     )
 
-    lambdas = np.linspace(0.0, config.spectrum_lambda_max, config.spectrum_lambda_count)
     spectrum_rows = [
         (float(lam), c.real, c.imag, abs(c), math.atan2(c.imag, c.real))
         for lam, c in zip(lambdas, fourier_spectrum(seq, lambdas, config.horizon).tolist())

@@ -19,7 +19,7 @@ need.  It applies one segment kernel (``_window_terms``) window by window,
 each window holding about ``_WINDOW_EVENTS`` events and starting from the
 phase of its integer winding counts reduced exactly mod 2*pi, and folds the
 windows' rows in window order.  One scheduler (``_run_tasks``) runs its
-(window, lam block) tasks and the almost-period scan's shifts (one round per
+tasks, one per window, and the almost-period scan's shifts (one round per
 block): one thread per usable CPU, each with state of its own, takes the next
 untaken task, and the results are folded in task order, so they have the
 bits of a one-thread pass.
@@ -27,7 +27,6 @@ bits of a one-thread pass.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
@@ -69,6 +68,12 @@ class PhaseSequence:
             if part.surface != self.surface:
                 raise DimensionError(f"{name} does not live on the sequence's surface")
         object.__setattr__(self, "horizon", _real("horizon", self.horizon, positive=True))
+        try:
+            finite = np.all(np.isfinite(self._active_arrays()[2]))
+        except OverflowError:  # a coefficient too large for a float
+            finite = False
+        if not finite:
+            raise DomainError("every active cycle's increment m * beta must be a finite float")
 
     @property
     def active_cycles(self) -> Tuple[int, ...]:
@@ -90,7 +95,8 @@ def _completed_windings(taus, periods):
 
     Plain floor division can land one step off when tau sits within rounding
     distance of an exact multiple; the corrections below re-anchor the count
-    to the same float products n * T that event generation emits.
+    to the same float products n * T that event generation emits.  A count
+    of 2**63 or more, which int64 cannot hold, is refused.
     """
     taus = np.asarray(taus, dtype=float)
     t = taus[..., np.newaxis]
@@ -98,6 +104,8 @@ def _completed_windings(taus, periods):
     n = np.maximum(n, 0.0)
     n += (n + 1.0) * periods <= t
     n -= np.logical_and(n > 0.0, n * periods > t)
+    if not np.all(n < 2.0**63):
+        raise DomainError(f"winding counts must stay below 2**63, got {np.max(n):.6g}")
     return n.astype(np.int64)
 
 
@@ -243,19 +251,19 @@ def _window_cuts(periods, t0: float, t1: float, edges=()) -> np.ndarray:
 
 
 class _Windows:
-    """The windows tiling [0, t], with what each needs besides its events.
+    """The windows tiling [0, ends[-1]], with what each needs besides its events.
 
-    Windows hold about _WINDOW_EVENTS events each and also end at every time
-    in ``edges``: window j runs from ``cuts[j]`` to ``cuts[j + 1]`` and
-    starts from the phase ``starts[j]`` of its integer winding counts reduced
-    exactly mod 2*pi, so rounding does not grow with t.  ``build`` writes a
-    window into a set of ``buffers``; threads with buffers of their own may
-    build windows at once.
+    ``ends`` must be ascending.  Windows hold about _WINDOW_EVENTS events
+    each and also end at every end: window j runs from ``cuts[j]`` to
+    ``cuts[j + 1]`` and starts from the phase ``starts[j]`` of its integer
+    winding counts reduced exactly mod 2*pi, so rounding does not grow with
+    the ends.  ``build`` writes a window into a set of ``buffers``; threads with
+    buffers of their own may build windows at once.
     """
 
-    def __init__(self, seq: PhaseSequence, t: float, edges=()):
+    def __init__(self, seq: PhaseSequence, ends):
         _, self.periods, self.increments = seq._active_arrays()
-        self.cuts = _window_cuts(self.periods, 0.0, t, edges)
+        self.cuts = _window_cuts(self.periods, 0.0, ends[-1], ends)
         self.counts = _completed_windings(self.cuts, self.periods)
         self.starts = _exact_phases(seq, self.counts[:-1])
         self.most = int(np.max(np.sum(np.diff(self.counts, axis=0), axis=1)))
@@ -415,28 +423,22 @@ def _window_integrals(seq: PhaseSequence, lams, ends) -> np.ndarray:
     """Integral of e^{i Phi(tau)} e^{-i lam tau} over [0, end], per end (rows) and lam (columns).
 
     ``ends`` must be ascending, each in (0, horizon].  The windows tile [0,
-    ends[-1]] and also end at every end.  The tasks are (window j, lam block)
-    pairs in window-major order, with min(len(lams), ceil(cpus / window
-    count)) lam blocks so that even one window gives every usable CPU a task;
-    each thread builds windows into buffers of its own and writes window j's
-    _window_terms into row j + 1.  A row's bits do not depend on its thread,
-    and the rows are folded in window order from a +0 row 0 (np.cumsum adds
-    them one after another, never pairwise), so an end's integral, the row
-    at its cut, has the bits of a one-thread pass.
+    ends[-1]] and also end at every end.  Each window is one task: a thread
+    builds it into buffers of its own and writes its _window_terms into row
+    j + 1.  A row's bits do not depend on its thread, and the rows are folded
+    in window order from a +0 row 0 (np.cumsum adds them one after another,
+    never pairwise), so an end's integral, the row at its cut, has the bits
+    of a one-thread pass.
     """
     lams = np.asarray(lams, dtype=float)
-    windows = _Windows(seq, ends[-1], ends)
-    m, k = len(windows), lams.size
-    blocks = min(k, -(-_usable_cpus() // m))
-    tasks = itertools.product(
-        range(m), [slice(k * b // blocks, k * (b + 1) // blocks) for b in range(blocks)]
-    )
-    rows = np.zeros((m + 1, k), dtype=complex)
+    windows = _Windows(seq, ends)
+    m = len(windows)
+    rows = np.zeros((m + 1, lams.size), dtype=complex)
 
-    def work(buffers, j, block):
-        rows[j + 1, block] = _window_terms(lams[block], *windows.build(j, buffers), buffers)
+    def work(buffers, j):
+        rows[j + 1] = _window_terms(lams, *windows.build(j, buffers), buffers)
 
-    _run_tasks([tasks], m * blocks, windows.buffers, work)
+    _run_tasks([((j,) for j in range(m))], m, windows.buffers, work)
     np.cumsum(rows, axis=0, out=rows)
     return rows[np.searchsorted(windows.cuts, ends)]
 
@@ -465,6 +467,21 @@ def bohr_mean(seq: PhaseSequence, t: float) -> complex:
     return complex(fourier_spectrum(seq, (0.0,), t)[0])
 
 
+def _check_lams(lams, t: float) -> np.ndarray:
+    """lams as a 1-d float array whose every angle lam * tau on [0, t] is finite.
+
+    The kernel's largest angles are lam * (b - a) and (-0.5 lam) * (a + b)
+    for a segment [a, b) in [0, t], at most |lam| * t after rounding.
+    """
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim > 1:
+        raise DomainError(f"need a 1-d array of lams, got shape {lams.shape}")
+    lams = np.atleast_1d(lams)
+    if lams.size and not math.isfinite(float(np.max(np.abs(lams))) * t):
+        raise DomainError(f"every lam must be finite, and so must |lam| * t at t = {t!r}")
+    return lams
+
+
 def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
     """Fourier coefficients (1/t) * integral_0^t e^{i Phi(tau)} e^{-i lam tau} d tau.
 
@@ -473,12 +490,7 @@ def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
     _window_terms): _window_integrals' integral over [0, t], divided by t.
     """
     t = _check_time(seq, t)
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim > 1:
-        raise DomainError(f"need a 1-d array of lams, got shape {lams.shape}")
-    lams = np.atleast_1d(lams)
-    if not np.all(np.isfinite(lams)):
-        raise DomainError("every lam must be finite")
+    lams = _check_lams(lams, t)
     if lams.size == 0:  # no window to walk
         return np.zeros(0, dtype=complex)
     return _window_integrals(seq, lams, (t,))[0] / t

@@ -84,3 +84,36 @@ def test_huge_counts_trip_the_guard(tmp_path, capsys, subcommand, key, count, ta
     assert f" {NOUNS[key]}, guard limit" in err
     assert "Traceback" not in err
     assert not (out / table).exists()
+
+
+# Configs the schema accepts whose numbers no float or int64 holds: each
+# subcommand that would meet them refuses up front, writing no table.
+@pytest.mark.parametrize(
+    "subcommand, overrides, tables",
+    [
+        # a winding count of 1e19 at the horizon, past int64's 2**63
+        ("analyze", {"horizon": 1e19, "correlation_time": 400.0}, ["almost_periods.csv"]),
+        # counts of 5e301 in the event window, from a tiny period
+        ("generate", {"periods": [1e-300, 1.0]}, ["events_a.csv", "events_b.csv"]),
+        # an increment m * beta too large for a float
+        ("chsh", {"chain_a": [10**400, 0]}, ["chsh.csv"]),
+        # angles lam * tau past the float range: no scan table either
+        (
+            "analyze",
+            {"spectrum_lambda_max": 1e308},
+            ["almost_periods.csv", "randomness.csv", "spectrum.csv"],
+        ),
+    ],
+)
+def test_unrepresentable_numbers_are_refused(tmp_path, capsys, subcommand, overrides, tables):
+    cfg_path, _ = write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+    for table in tables:
+        assert not (out / table).exists()
+    if "horizon" in overrides:
+        # short correlation times count few windings and still run
+        assert main(["correlate", "--config", str(cfg_path), "--out", str(out)]) == 0

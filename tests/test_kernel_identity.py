@@ -63,7 +63,7 @@ def hexes(z):
 
 
 def test_canonical_m2_spans_many_windows(canonical_pair):
-    assert len(_Windows(_doubled(canonical_pair.difference), T)) == 21
+    assert len(_Windows(_doubled(canonical_pair.difference), (T,))) == 21
 
 
 def test_bohr_means(canonical_pair):
@@ -140,7 +140,7 @@ def test_windows_equal_the_event_arrays_route(monkeypatch, window_events):
     seq, t, edges = genus2_seq(3000.0), 2999.5, (12.0, 1000.0)
     monkeypatch.setattr(sequence, "_WINDOW_EVENTS", window_events)
     ends = []
-    windows = _Windows(seq, t, edges)
+    windows = _Windows(seq, (*edges, t))
     buffers = windows.buffers()
     for j in range(len(windows)):
         bounds, factors = windows.build(j, buffers)

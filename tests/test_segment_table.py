@@ -263,16 +263,14 @@ def _hexes(values):
 
 
 def _assert_every_task_taken_once(run, lams, workers):
-    """Each window's lam blocks cover ``lams`` once; min(tasks, workers) task loops ran, one on the caller.
+    """One task per window, over all of ``lams``; min(windows, workers) task loops ran, one on the caller.
 
     A pool thread whose loop found no task left may run another loop.
     """
-    blocks = min(len(lams), -(-workers // run.windows))
-    assert sorted(j for _, j, _ in run.tasks) == sorted(list(range(run.windows)) * blocks)
-    for j in range(run.windows):
-        taken = [lam for _, i, block in run.tasks if i == j for lam in block]
-        assert sorted(taken) == sorted(lam.hex() for lam in lams)
-    assert len(run.threads) == min(run.windows * blocks, workers)
+    assert sorted(j for _, j, _ in run.tasks) == list(range(run.windows))
+    for _, _, taken in run.tasks:
+        assert taken == [lam.hex() for lam in lams]
+    assert len(run.threads) == min(run.windows, workers)
     assert threading.main_thread() in run.threads
 
 
@@ -435,32 +433,30 @@ def test_window_sums_keep_their_bits_under_fast_switching():
 def test_a_held_back_worker_leaves_its_windows_to_the_caller():
     pair = _genus1_pair()
     reductions = _reductions(pair, pair.sequence_a, 400.0, [0.0, 0.5, -0.0, 1.5], [10.0, 400.0])
-    # many windows for every reduction, then one window in two lam blocks
-    for events, names in ((16, list(reductions)), (sequence._WINDOW_EVENTS, ["fourier_spectrum"])):
-        with mock.patch.object(sequence, "_WINDOW_EVENTS", events):
-            for name in names:
-                lams_, reduce = reductions[name]
-                expected = _scheduled(reduce, 1)
-                total = len(expected.tasks) * min(len(lams_), -(-2 // expected.windows))
-                caller_done, done = threading.Event(), []
+    # many windows for every reduction
+    with mock.patch.object(sequence, "_WINDOW_EVENTS", 16):
+        for name, (lams_, reduce) in reductions.items():
+            expected = _scheduled(reduce, 1)
+            total = len(expected.tasks)
+            caller_done, done = threading.Event(), []
 
-                def hold(thread):
-                    if thread is not threading.main_thread():
-                        assert caller_done.wait(timeout=60.0)
+            def hold(thread):
+                if thread is not threading.main_thread():
+                    assert caller_done.wait(timeout=60.0)
 
-                def counting(*args, terms=sequence._window_terms):
-                    result = terms(*args)
-                    done.append(threading.current_thread())
-                    if len(done) == total:
-                        caller_done.set()
-                    return result
+            def counting(*args, terms=sequence._window_terms):
+                result = terms(*args)
+                done.append(threading.current_thread())
+                if len(done) == total:
+                    caller_done.set()
+                return result
 
-                with mock.patch.object(sequence, "_window_terms", counting):
-                    run = _scheduled(reduce, 2, hold)
-                assert len(run.threads) == 2, name
-                assert {thread for thread, _, _ in run.tasks} == {threading.main_thread()}
-                assert run.values == expected.values
-                _assert_every_task_taken_once(run, lams_, 2)
+            with mock.patch.object(sequence, "_window_terms", counting):
+                run = _scheduled(reduce, 2, hold)
+            assert len(run.threads) == 2, name
+            assert {thread for thread, _, _ in run.tasks} == {threading.main_thread()}
+            assert run.values == expected.values
+            _assert_every_task_taken_once(run, lams_, 2)
 
 
 @pytest.mark.parametrize("failing", [0, 1])
@@ -468,30 +464,6 @@ def test_window_worker_error_propagates_and_threads_end(failing):
     pair = _genus1_pair()
     for _, reduce in _sums(pair, pair.sequence_a, 400.0, [10.0, 400.0]).values():
         _assert_worker_error_propagates(failing, reduce)
-
-
-def test_a_one_window_spectrum_runs_on_several_threads():
-    # the canonical analyze spectrum: one window at h = 1e4, 129 lams
-    pair = _genus1_pair(1e4)
-    seq, lams = pair.sequence_a, np.linspace(-8.0, 8.0, 129)
-    expected = _scheduled(lambda: fourier_spectrum(seq, lams, 1e4).tolist(), 1)
-    assert expected.windows == 1
-    for workers in (2, 3, 4):
-        entered, both = set(), threading.Event()
-
-        def gated(*args, terms=sequence._window_terms):
-            # a thread holds its first task until another thread has one too
-            entered.add(threading.current_thread())
-            if len(entered) > 1:
-                both.set()
-            assert both.wait(timeout=60.0)
-            return terms(*args)
-
-        with mock.patch.object(sequence, "_window_terms", gated):
-            run = _scheduled(lambda: fourier_spectrum(seq, lams, 1e4).tolist(), workers)
-        assert len({thread for thread, _, _ in run.tasks}) > 1
-        assert run.values == expected.values
-        _assert_every_task_taken_once(run, lams, workers)
 
 
 def _scan_sequence(horizon=2000.0):
@@ -680,9 +652,9 @@ def _assert_a_failure_stops_the_tasks(workers, reduce, total, name, starts_task)
 def test_a_failing_window_stops_every_thread_taking_windows(workers):
     seq = _genus2_pair(300.0).sequence_a
     with mock.patch.object(sequence, "_WINDOW_EVENTS", 16):
-        windows = len(sequence._Windows(seq, 300.0))
+        windows = len(sequence._Windows(seq, (300.0,)))
         assert windows >= 40
-        # one _window_terms call per (window, lam block) task
+        # one _window_terms call per window
         _assert_a_failure_stops_the_tasks(
             workers, lambda: bohr_mean(seq, 300.0), windows, "_window_terms", lambda *_: True
         )
@@ -751,7 +723,7 @@ def test_window_integrals_are_the_window_terms_folded_in_order(data, pair, windo
     ends = sorted(ends + ends[:1])  # one end repeated
     with mock.patch.object(sequence, "_WINDOW_EVENTS", window_events):
         got = sequence._window_integrals(seq, lams, ends)
-        windows = sequence._Windows(seq, ends[-1], ends)
+        windows = sequence._Windows(seq, ends)
         buffers = windows.buffers()
         running, at_cut = np.zeros(lams.size, dtype=complex), {}
         for j in range(len(windows)):

@@ -13,6 +13,7 @@ from windingphase import (
     CycleAssignment,
     DimensionError,
     DomainError,
+    PairConfig,
     PhaseSequence,
     SurfaceSpec,
     WindingChain,
@@ -22,6 +23,7 @@ from windingphase import (
     find_almost_periods,
     fourier_bohr_coefficient,
     fourier_spectrum,
+    pairing,
     phase_at,
     phase_at_many,
     randomness_battery,
@@ -29,6 +31,7 @@ from windingphase import (
     sequence,
     wrap_angle,
 )
+from windingphase.correlation import _doubled
 from windingphase.topology import _dot_mod_2pi
 
 TWO_PI = 2.0 * math.pi
@@ -122,6 +125,43 @@ class TestEvents:
         by_cycle = {e.cycle_index: e.increment for e in evs}
         assert by_cycle[0] == pytest.approx(1.5, abs=1e-15)
         assert by_cycle[1] == pytest.approx(-0.5, abs=1e-15)
+
+    def test_winding_counts_past_two_to_the_63_are_refused(self):
+        # int64 holds no count of 2**63; the largest float below it is a count it holds
+        below = np.nextafter(2.0**63, 0.0)
+        seq = make_seq(1, (1, 0), (0.7, 0.3), (1.0, 5.0), 1e19)
+        assert event_count(seq, 0.0, below) == int(below)
+        for refused in (
+            lambda: event_count(seq),
+            lambda: event_count(seq, 0.0, 2.0**63),
+            lambda: sequence.event_arrays(seq, 2.0**63, 1e19),
+            lambda: phase_at(seq, 2.0**63),
+            lambda: phase_at_many(seq, [0.0, 1e19]),
+        ):
+            with pytest.raises(DomainError, match=r"below 2\*\*63"):
+                refused()
+        # a count past the limit at a short time, from a tiny period
+        tiny = make_seq(1, (1, 0), (0.7, 0.3), (1e-300, 1.0), 1e4)
+        with pytest.raises(DomainError, match=r"below 2\*\*63"):
+            event_count(tiny)
+
+
+def test_an_increment_with_no_float_is_refused():
+    s = SurfaceSpec(1)
+    assign = CycleAssignment(s, (2.0, 1.0), (1.0, math.sqrt(2)))
+    # 10**308 * 2.0 overflows to inf, yet the pairing, exact in integers, has it
+    overflowing = WindingChain(s, (10**308, 0))
+    assert 0.0 <= pairing(overflowing, assign).angle < TWO_PI
+    for chain in (overflowing, WindingChain(s, (0, 10**400))):
+        with pytest.raises(DomainError, match="finite float"):
+            PhaseSequence(s, chain, assign, 100.0)
+    # with beta 1.0 these have increments -1e308 and 1e308; their difference and doubles do not
+    unit = CycleAssignment(s, (1.0, 1.0), (1.0, math.sqrt(2)))
+    a = PhaseSequence(s, WindingChain(s, (-(10**308), 0)), unit, 100.0)
+    b = PhaseSequence(s, WindingChain(s, (10**308, 0)), unit, 100.0)
+    for derived in (lambda: PairConfig(a, b).difference, lambda: _doubled(b)):
+        with pytest.raises(DomainError, match="finite float"):
+            derived()
 
 
 def test_sequence_parts_must_live_on_its_surface():
@@ -355,6 +395,14 @@ class TestFourierBohrCoefficient:
         for bad in (math.inf, math.nan):
             with pytest.raises(DomainError):
                 fourier_spectrum(seq, [0.0, bad], 10.0)
+
+    def test_spectrum_refuses_lams_whose_angles_overflow(self):
+        seq = make_seq(1, (1, -1), (0.9, 1.3), (1.0, math.sqrt(2)), 200.0)
+        # the kernel's angles lam * (b - a) and (-0.5 lam) * (a + b) reach |lam| * t
+        assert np.all(np.isfinite(fourier_spectrum(seq, [0.0, -1e306], 150.0)))
+        for lams in ([0.0, 1e308], [-1.2e307]):
+            with pytest.raises(DomainError, match=r"\|lam\| \* t"):
+                fourier_spectrum(seq, lams, 150.0)
 
     def test_spectrum_rejects_two_dimensional_lambdas(self):
         seq = make_seq(0, (), (), (), 100.0)
