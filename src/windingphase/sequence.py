@@ -244,8 +244,11 @@ def _window_cuts(periods, t0: float, t1: float, edges=()) -> np.ndarray:
     """Sorted cut times tiling [t0, t1] into windows of about _WINDOW_EVENTS events.
 
     The cuts start at t0, end at t1, are evenly spaced in between and also
-    include every time in ``edges``.
+    include every time in ``edges``.  Winding counts of 2**63 or more by t1
+    are refused (by _completed_windings) before any cut is made; smaller
+    counts can still ask for more cuts than memory holds.
     """
+    _completed_windings(t1, periods)
     n = max(1, math.ceil((t1 - t0) * float(np.sum(1.0 / periods)) / _WINDOW_EVENTS))
     return np.unique(np.concatenate((np.linspace(t0, t1, n + 1), edges)))
 

@@ -185,16 +185,24 @@ def _dot_mod_2pi(coefficients: Sequence[int], betas: Sequence[float]) -> float:
     """sum(m_i * beta_i) mod 2*pi with split high/low accumulation.
 
     The high parts (betas rounded to the 2^-26 grid) accumulate exactly in
-    integer arithmetic for arbitrary coefficient sizes, so the group
-    homomorphism angle(a+b) = angle(a) + angle(b) mod 2*pi holds to ~1e-15
-    instead of degrading with the magnitude of the coefficients.
+    integer arithmetic for any coefficient size.  The low parts are float
+    products m * (beta - high), each rounded once, so the error is about
+    |m| * 2**-80: the group homomorphism angle(a+b) = angle(a) + angle(b)
+    mod 2*pi holds to ~1e-15 for |m| up to about 1e8.  A coefficient that
+    does not round to a float (magnitude 2**1024 or more) is refused.
     """
     hi_sum = 0
     lows = []
     for m, beta in zip(coefficients, betas):
         k = round(beta * _SPLIT)
         hi_sum += m * k
-        lows.append(m * (beta - k / _SPLIT))
+        try:
+            lows.append(m * (beta - k / _SPLIT))
+        except OverflowError:
+            raise DomainError(
+                "a coefficient times its winding count must round to a float "
+                f"(magnitude below 2**1024), got one of {m.bit_length()} bits"
+            ) from None
     return wrap_angle(_reduce_dyadic(hi_sum, _SPLIT_BITS) + math.fsum(lows))
 
 
@@ -291,31 +299,17 @@ class IncommensurabilityReport:
         return not any(v.commensurable for v in self.verdicts)
 
 
-def _best_convergent(x: float, max_denominator: int):
-    """(p/q, |x - p/q|) for the continued-fraction convergent of x nearest x.
+def _best_rational(x: float, max_denominator: int):
+    """(p/q, |x - p/q|) for the nonzero rational with q <= max_denominator nearest x.
 
-    Only convergents with q <= max_denominator and p != 0 count: 0/1
-    approximates any tiny ratio but witnesses no rational relation between
-    strictly positive periods.  (None, inf) when none counts, as for a
-    non-finite x (a ratio of periods that overflowed).
+    0/1 witnesses no rational relation between strictly positive periods, so
+    where it is nearest, 1/max_denominator, the nearest nonzero rational, is
+    taken.  (None, inf) for a non-finite x (a ratio of periods that overflowed).
     """
-    best, best_err = None, math.inf
     if not math.isfinite(x):
-        return best, best_err
-    p_prev, q_prev, p, q = 1, 0, math.floor(x), 1
-    frac = x - p
-    for _ in range(129):  # p/q runs through the convergents, the first 129 at most
-        err = abs(x - p / q)
-        if p != 0 and err < best_err:
-            best, best_err = Fraction(p, q), err
-        if frac <= 0.0 or not math.isfinite(y := 1.0 / frac):
-            break
-        a = math.floor(y)
-        p_prev, q_prev, p, q = p, q, a * p + p_prev, a * q + q_prev
-        if q > max_denominator:
-            break
-        frac = y - a
-    return best, best_err
+        return None, math.inf
+    best = Fraction(x).limit_denominator(max_denominator) or Fraction(1, max_denominator)
+    return best, abs(x - best.numerator / best.denominator)
 
 
 def certify_incommensurable(
@@ -323,12 +317,12 @@ def certify_incommensurable(
 ) -> IncommensurabilityReport:
     """Certify each pair of periods commensurable or incommensurable-at-depth.
 
-    For each unordered pair the ratio is expanded in continued fractions and
-    the pair is flagged commensurable if any convergent with denominator up to
-    ``max_denominator`` approximates it within ``tolerance``.  Both ratio
-    orientations are checked so the verdict is symmetric even when the bound
-    ``q <= max_denominator`` is only reachable on one side (e.g. periods
-    (1, 100) at max_denominator 64).
+    A pair is flagged commensurable if the nearest nonzero rational with
+    denominator up to ``max_denominator``, found exactly by
+    ``Fraction.limit_denominator``, approximates its ratio within
+    ``tolerance``.  Both ratio orientations are checked so the verdict is
+    symmetric even when the bound ``q <= max_denominator`` is only reachable
+    on one side (e.g. periods (1, 100) at max_denominator 64).
     """
     max_denominator = _integer("max_denominator", max_denominator, 1)
     tolerance = _real("tolerance", tolerance, positive=True)
@@ -349,7 +343,7 @@ def certify_incommensurable(
 def _pair_verdict(periods, i, j, max_denominator, tolerance) -> PairVerdict:
     for num, den in ((i, j), (j, i)):
         ratio = periods[num] / periods[den]
-        witness, err = _best_convergent(ratio, max_denominator)
+        witness, err = _best_rational(ratio, max_denominator)
         if witness is not None and err <= tolerance:
             return PairVerdict(
                 i=i,

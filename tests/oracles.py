@@ -23,7 +23,9 @@ the package computes another way:
   and int(), instead of in chunks with np.loadtxt (a non-numeric field
   escapes it as the bare ValueError of float() or int());
 - ``parse_config_by_hand`` checks each config key with its own lines of
-  code instead of looping over the declaration on ExperimentConfig.
+  code instead of looping over the declaration on ExperimentConfig;
+- ``best_rational_by_enumeration`` finds the nearest nonzero rational by
+  trying every denominator, instead of through ``Fraction.limit_denominator``.
 """
 
 import math
@@ -442,3 +444,20 @@ def parse_config_by_hand(data, source="<config>"):
         residual_theta_b=residual_theta_b,
         analysis_target=analysis_target,
     )
+
+
+def best_rational_by_enumeration(x, max_denominator):
+    """(p/q, exact |x - p/q|) nearest x over p >= 1 and q <= max_denominator.
+
+    Over each q only p = floor(x q) and floor(x q) + 1 can be nearest, so
+    those two are tried, and the errors are compared exactly.
+    """
+    x = Fraction(x)
+    best, best_err = None, None
+    for q in range(1, max_denominator + 1):
+        below = math.floor(x * q)
+        for p in (below, below + 1):
+            err = abs(x - Fraction(p, q))
+            if p >= 1 and (best is None or err < best_err):
+                best, best_err = Fraction(p, q), err
+    return best, best_err

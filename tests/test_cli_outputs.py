@@ -117,3 +117,26 @@ def test_unrepresentable_numbers_are_refused(tmp_path, capsys, subcommand, overr
     if "horizon" in overrides:
         # short correlation times count few windings and still run
         assert main(["correlate", "--config", str(cfg_path), "--out", str(out)]) == 0
+
+
+# m * beta = 1e5 passes the increment check, but the doubled difference
+# chain's coefficient times its winding counts has no float.
+@pytest.mark.parametrize(
+    "subcommand, table",
+    [("correlate", "correlate.csv"), ("residual", "residual.csv"), ("chsh", "chsh.csv")],
+)
+def test_a_coefficient_times_winding_count_with_no_float_is_refused(tmp_path, capsys, subcommand, table):
+    cfg_path, _ = write_config(
+        tmp_path,
+        chain_a=[10**305, 0],
+        betas=[1e-300, 4.59961087822572],
+        horizon=10000.0,
+        residual_horizons=[10.0, 100.0, 10000.0],
+    )
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "2**1024" in err
+    assert "Traceback" not in err
+    assert not (out / table).exists()

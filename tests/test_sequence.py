@@ -27,9 +27,11 @@ from windingphase import (
     phase_at,
     phase_at_many,
     randomness_battery,
+    residual_curve,
     score_phase_samples,
     sequence,
     wrap_angle,
+    write_event_log,
 )
 from windingphase.correlation import _doubled
 from windingphase.topology import _dot_mod_2pi
@@ -162,6 +164,42 @@ def test_an_increment_with_no_float_is_refused():
     for derived in (lambda: PairConfig(a, b).difference, lambda: _doubled(b)):
         with pytest.raises(DomainError, match="finite float"):
             derived()
+
+
+def test_a_coefficient_times_winding_count_with_no_float_is_refused():
+    # m * beta = 1e5 is a float, but m times 5e3 or 1e4 windings is not;
+    # the second cycle's events make bohr_mean start a window past t = 5e3
+    s = SurfaceSpec(1)
+    assign = CycleAssignment(s, (1e-300, 4.59961087822572), (1.0, math.sqrt(2)))
+    seq = PhaseSequence(s, WindingChain(s, (10**305, 1)), assign, 1e4)
+    for refused in (
+        lambda: phase_at(seq, 1e4),
+        lambda: bohr_mean(seq, 1e4),
+        lambda: bohr_mean(_doubled(seq), 1e4),
+    ):
+        with pytest.raises(DomainError, match=r"winding count must round to a float \(magnitude below 2\*\*1024\)"):
+            refused()
+
+
+# Window counts no array could hold: the 2**63 winding-count refusal comes
+# before any window is cut.
+def test_window_routes_refuse_counts_past_two_to_the_63_before_cutting(tmp_path):
+    huge = make_seq(1, (1, 0), (0.7, 0.3), (1.0, 5.0), 1e19)
+    other = make_seq(1, (0, 1), (0.7, 0.3), (1.0, 5.0), 1e19)
+    tiny = make_seq(1, (1, 0), (0.7, 0.3), (1e-300, 1.0), 1e4)
+    log = tmp_path / "events.csv"
+    for refused in (
+        lambda: bohr_mean(huge, 1e19),
+        lambda: fourier_spectrum(huge, [0.5], 1e19),
+        lambda: find_almost_periods(huge, 0.3, 10.0, 1.0),
+        lambda: residual_curve(PairConfig(huge, other), 0.0, 0.0, [1e19]),
+        lambda: write_event_log(log, huge),
+        lambda: bohr_mean(tiny, 1e4),
+        lambda: write_event_log(log, tiny),
+    ):
+        with pytest.raises(DomainError, match=r"below 2\*\*63"):
+            refused()
+    assert not log.exists()
 
 
 def test_sequence_parts_must_live_on_its_surface():

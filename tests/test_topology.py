@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import best_rational_by_enumeration
 from windingphase import (
     CycleAssignment,
     DimensionError,
@@ -20,6 +23,7 @@ from windingphase import (
     phase_at,
     wrap_angle,
 )
+from windingphase.topology import _best_rational
 
 TWO_PI = 2.0 * math.pi
 
@@ -375,3 +379,41 @@ def test_integer_too_large_for_a_float_raises_domain_error():
     seq = PhaseSequence(s, WindingChain(s, (1, 1)), assign, 100.0)
     with pytest.raises(DomainError, match="tau must be finite, got an integer too large for a float"):
         phase_at(seq, 10**400)
+
+
+def test_a_coefficient_with_no_float_is_refused():
+    s = SurfaceSpec(1)
+    assign = CycleAssignment(s, (2.0, 1.0), (1.0, math.sqrt(2)))
+    with pytest.raises(DomainError, match=r"must round to a float \(magnitude below 2\*\*1024\)"):
+        pairing(WindingChain(s, (10**309, 0)), assign)
+
+
+# Where tolerance >= 1/(2 N**2) the nearest rational need not be a convergent
+# of the ratio's continued fraction (4742/59 is a semiconvergent of 80.37...);
+# the certificate must still find it.
+@pytest.mark.parametrize(
+    "periods, depth, tolerance, witness, orientation",
+    [
+        ((1.0, 80.37333586492225), 64, 1e-3, Fraction(4742, 59), (1, 0)),
+        ((1.0, 46.64278911023739), 10**6, 1e-12, Fraction(19949, 930477), (0, 1)),
+    ],
+    ids=["depth-64", "depth-1e6"],
+)
+def test_certificate_finds_the_nearest_rational(periods, depth, tolerance, witness, orientation):
+    v = certify_incommensurable(CycleAssignment(SurfaceSpec(1), (0.0, 0.0), periods), depth, tolerance).verdicts[0]
+    assert v.commensurable
+    assert v.witness == witness
+    assert (v.numerator_index, v.denominator_index) == orientation
+    assert v.witness_error <= tolerance
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    x=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False, allow_subnormal=True),
+    depth=st.integers(1, 200),
+)
+def test_best_rational_is_the_nearest_nonzero_rational(x, depth):
+    witness, _ = _best_rational(x, depth)
+    _, nearest_err = best_rational_by_enumeration(x, depth)
+    assert witness > 0 and witness.denominator <= depth
+    assert abs(Fraction(x) - witness) == nearest_err
