@@ -16,7 +16,7 @@ from windingphase import (
     bohr_mean,
     events_in,
     find_almost_periods,
-    fourier_bohr_coefficient,
+    fourier_spectrum,
     phase_at,
     randomness_battery,
 )
@@ -49,8 +49,8 @@ for t in (10.0, 100.0, 1000.0, 10000.0):
 
 # A Fourier-type coefficient scans for oscillation content at frequency lam.
 print("\nFourier coefficient magnitudes at t = 2000:")
-for lam in (0.0, 1.0, 2.0, 4.0):
-    c = fourier_bohr_coefficient(seq, lam, 2000.0)
+lams = (0.0, 1.0, 2.0, 4.0)
+for lam, c in zip(lams, fourier_spectrum(seq, lams, 2000.0)):
     print(f"  lam = {lam:4.1f}: {abs(c):.6f}")
 
 # --- almost-period search ------------------------------------------------------

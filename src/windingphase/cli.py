@@ -32,7 +32,6 @@ from .errors import ConfigError, DimensionError, DomainError, ResourceGuardError
 from .eventlog import write_event_log
 from .sequence import (
     PhaseSequence,
-    _check_lams,
     event_count,
     find_almost_periods,
     fourier_spectrum,
@@ -144,19 +143,17 @@ def _run_analyze(config, out_dir):
     # the randomness samples and the spectrum's lams are arrays of that length
     _guard_events(config.n_samples, "randomness samples")
     _guard_events(config.spectrum_lambda_count, "spectrum lambdas")
-    # refused here, before any table is written, if the spectrum would refuse them
-    lambdas = _check_lams(
-        np.linspace(0.0, config.spectrum_lambda_max, config.spectrum_lambda_count), config.horizon
-    )
 
     ap = find_almost_periods(seq, config.epsilon, search_bound, config.sample_step)
+    battery = randomness_battery(seq, config.horizon, config.n_samples, seed=config.seed)
+    lambdas = np.linspace(0.0, config.spectrum_lambda_max, config.spectrum_lambda_count)
+    spectrum = fourier_spectrum(seq, lambdas, config.horizon).tolist()
+
     yield "almost_periods.csv", functools.partial(
         _write_table,
         header=["tau_star", "discrepancy"],
         rows=[(c.shift, c.discrepancy) for c in ap.candidates],
     )
-
-    battery = randomness_battery(seq, config.horizon, config.n_samples, seed=config.seed)
     yield "randomness.csv", functools.partial(
         _write_table,
         header=["monobit_p", "serial_correlation_re", "serial_correlation_im",
@@ -165,13 +162,11 @@ def _run_analyze(config, out_dir):
                battery.serial_correlation.imag, battery.permutation_entropy,
                battery.sample_count)],
     )
-
-    spectrum_rows = [
-        (float(lam), c.real, c.imag, abs(c), math.atan2(c.imag, c.real))
-        for lam, c in zip(lambdas, fourier_spectrum(seq, lambdas, config.horizon).tolist())
-    ]
     yield "spectrum.csv", functools.partial(
-        _write_table, header=["lambda", "re", "im", "magnitude", "angle"], rows=spectrum_rows
+        _write_table,
+        header=["lambda", "re", "im", "magnitude", "angle"],
+        rows=[(float(lam), c.real, c.imag, abs(c), math.atan2(c.imag, c.real))
+              for lam, c in zip(lambdas, spectrum)],
     )
 
 
@@ -310,8 +305,10 @@ _SUMMARIES = {
 
 
 # name -> (help, runner).  A runner yields (file name, writer) pairs; a
-# writer takes a path and returns a row count.  report lists the outputs of
-# every other subcommand, in this order
+# writer takes a path and returns a row count.  A runner computes, or
+# refuses, every table before its first yield, and the output directory is
+# made only when a writer runs, so a refused run writes nothing.  report
+# lists the outputs of every other subcommand, in this order
 SUBCOMMANDS = {
     "generate": ("write event logs for both sequences", _run_generate),
     "analyze": ("almost-period, randomness, and spectrum tables", _run_analyze),
@@ -333,10 +330,10 @@ def run_subcommand(config: ExperimentConfig, name: str) -> RunManifest:
         raise ConfigError(f"unknown subcommand {name!r}; expected one of {tuple(SUBCOMMANDS)}")
     out_dir = resolve_out_dir(config)
     started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    os.makedirs(out_dir, exist_ok=True)
     _, run = SUBCOMMANDS[name]
     files = []
     for file_name, write in run(config, out_dir):
+        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, file_name)
         files.append(FileRecord(file_name, write(path), _sha256_file(path)))
     manifest = RunManifest(

@@ -150,9 +150,17 @@ def _memo_moment(key: _MomentKey) -> Tuple[complex, int]:
     return bohr_mean(_doubled(pair.difference), t), segments
 
 
+def _check_angles(theta_a, theta_b) -> Tuple[float, float]:
+    """(theta_a, theta_b) as floats whose sum and difference are finite."""
+    theta_a, theta_b = _real("angles", theta_a), _real("angles", theta_b)
+    if not (math.isfinite(theta_a + theta_b) and math.isfinite(theta_a - theta_b)):
+        raise DomainError(f"angles {theta_a!r} and {theta_b!r} must have a finite sum and difference")
+    return theta_a, theta_b
+
+
 def correlations(pair: PairConfig, settings, t: float) -> Tuple[CorrelationEstimate, ...]:
     """One correlation per (theta_a, theta_b) in ``settings``, all from one M2(t)."""
-    settings = [(_real("angles", ta), _real("angles", tb)) for ta, tb in settings]
+    settings = [_check_angles(ta, tb) for ta, tb in settings]
     t = _check_time(pair.sequence_a, t)
     m2, segments = _memo_moment(_MomentKey(pair, t))
     out = []
@@ -184,7 +192,7 @@ def residual_curve(
     ``horizons`` must be sorted ascending, positive, and within the pair's
     horizon.  Returns (t, residual) tuples.
     """
-    theta_a, theta_b = _real("angles", theta_a), _real("angles", theta_b)
+    theta_a, theta_b = _check_angles(theta_a, theta_b)
     hs = [_check_time(pair.sequence_a, h) for h in horizons]
     if not hs:
         raise DomainError("horizons must be non-empty")

@@ -74,6 +74,10 @@ class PhaseSequence:
             finite = False
         if not finite:
             raise DomainError("every active cycle's increment m * beta must be a finite float")
+        with np.errstate(over="ignore"):
+            rate = np.sum(1.0 / self._active_arrays()[1])
+        if not math.isfinite(rate):
+            raise DomainError("the active periods' event rate sum(1 / T) must be a finite float")
 
     @property
     def active_cycles(self) -> Tuple[int, ...]:
@@ -100,7 +104,8 @@ def _completed_windings(taus, periods):
     """
     taus = np.asarray(taus, dtype=float)
     t = taus[..., np.newaxis]
-    n = np.floor(t / periods)
+    with np.errstate(over="ignore"):  # an infinite count is refused below
+        n = np.floor(t / periods)
     n = np.maximum(n, 0.0)
     n += (n + 1.0) * periods <= t
     n -= np.logical_and(n > 0.0, n * periods > t)
@@ -470,32 +475,25 @@ def bohr_mean(seq: PhaseSequence, t: float) -> complex:
     return complex(fourier_spectrum(seq, (0.0,), t)[0])
 
 
-def _check_lams(lams, t: float) -> np.ndarray:
-    """lams as a 1-d float array whose every angle lam * tau on [0, t] is finite.
+def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
+    """Fourier coefficients (1/t) * integral_0^t e^{i Phi(tau)} e^{-i lam tau} d tau.
 
-    The kernel's largest angles are lam * (b - a) and (-0.5 lam) * (a + b)
+    One coefficient per entry of ``lams``, a scalar or a 1-d array, all from
+    one pass over the windows, each integrated in closed form on every
+    constant segment (see _window_terms): _window_integrals' integral over
+    [0, t], divided by t.  Every angle lam * tau on [0, t] must be finite:
+    the kernel's largest angles are lam * (b - a) and (-0.5 lam) * (a + b)
     for a segment [a, b) in [0, t], at most |lam| * t after rounding.
     """
+    t = _check_time(seq, t)
     lams = np.asarray(lams, dtype=float)
     if lams.ndim > 1:
         raise DomainError(f"need a 1-d array of lams, got shape {lams.shape}")
     lams = np.atleast_1d(lams)
-    if lams.size and not math.isfinite(float(np.max(np.abs(lams))) * t):
-        raise DomainError(f"every lam must be finite, and so must |lam| * t at t = {t!r}")
-    return lams
-
-
-def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
-    """Fourier coefficients (1/t) * integral_0^t e^{i Phi(tau)} e^{-i lam tau} d tau.
-
-    One coefficient per entry of ``lams``, all from one pass over the
-    windows, each integrated in closed form on every constant segment (see
-    _window_terms): _window_integrals' integral over [0, t], divided by t.
-    """
-    t = _check_time(seq, t)
-    lams = _check_lams(lams, t)
     if lams.size == 0:  # no window to walk
         return np.zeros(0, dtype=complex)
+    if not math.isfinite(float(np.max(np.abs(lams))) * t):
+        raise DomainError(f"every lam must be finite, and so must |lam| * t at t = {t!r}")
     return _window_integrals(seq, lams, (t,))[0] / t
 
 
@@ -638,7 +636,9 @@ def find_almost_periods(
     window_end = seq.horizon - search_bound
     sliver = 4.0 * np.spacing(seq.horizon)
     # the multiples up to search_bound of the grid pitch and of every active period
-    pitches = [sample_step, *seq._active_arrays()[1].tolist()]
+    periods = seq._active_arrays()[1]
+    _completed_windings(seq.horizon, periods)  # refuses a count past 2**63 before the lattice
+    pitches = [sample_step, *periods.tolist()]
     grids = [np.arange(1, math.floor(search_bound / T) + 1) * T for T in pitches]
     shifts = np.unique(np.concatenate(grids))
     shifts = shifts[shifts <= search_bound].tolist()

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from test_cli import write_config
+from windingphase import DomainError, cli
 from windingphase.cli import main
 
 ORDER = ("generate", "analyze", "correlate", "residual", "chsh", "report")
@@ -55,6 +56,7 @@ def test_tiny_sample_step_trips_the_guard(tmp_path, capsys, step):
     # the message names what it counts: the step's grid of shifts
     assert " almost-period shifts, guard limit" in err
     assert not (out / "almost_periods.csv").exists()
+    assert not out.exists()
 
 
 # Counts the config schema accepts but no run could hold in memory: each is
@@ -84,6 +86,7 @@ def test_huge_counts_trip_the_guard(tmp_path, capsys, subcommand, key, count, ta
     assert f" {NOUNS[key]}, guard limit" in err
     assert "Traceback" not in err
     assert not (out / table).exists()
+    assert not out.exists()
 
 
 # Configs the schema accepts whose numbers no float or int64 holds: each
@@ -114,6 +117,7 @@ def test_unrepresentable_numbers_are_refused(tmp_path, capsys, subcommand, overr
     assert "Traceback" not in err
     for table in tables:
         assert not (out / table).exists()
+    assert not out.exists()
     if "horizon" in overrides:
         # short correlation times count few windings and still run
         assert main(["correlate", "--config", str(cfg_path), "--out", str(out)]) == 0
@@ -140,3 +144,65 @@ def test_a_coefficient_times_winding_count_with_no_float_is_refused(tmp_path, ca
     assert "2**1024" in err
     assert "Traceback" not in err
     assert not (out / table).exists()
+    assert not out.exists()
+
+
+def _assert_refused(tmp_path, capsys, subcommand, cfg_path):
+    """subcommand exits 1 as a configuration error, with no traceback and no --out directory."""
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    return err
+
+
+# Finite detector angles whose sum or difference overflows: cos(inf) raised a
+# bare ValueError, and an infinite difference wrote nan rows.
+@pytest.mark.parametrize(
+    "subcommand, overrides",
+    [
+        ("chsh", {"chsh_angles": [1e308, 1e308, 1e308, 1e308]}),
+        ("chsh", {"chsh_angles": [1e308, 0.0, 0.0, -1e308]}),
+        ("residual", {"residual_theta_a": 1e308, "residual_theta_b": -1e308}),
+    ],
+)
+def test_angles_whose_sum_or_difference_overflows_are_refused(tmp_path, capsys, subcommand, overrides):
+    cfg_path, _ = write_config(tmp_path, **overrides)
+    assert "finite sum and difference" in _assert_refused(tmp_path, capsys, subcommand, cfg_path)
+
+
+# Periods so small that a quotient by them overflows: refused as such, with
+# no numpy overflow warning (an error under the test filters) first.
+TINY_PERIODS = {"periods": [5e-324, 1.0]}
+FAR_HORIZON = {"horizon": 1e300, "periods": [1e-10, 1.0], "event_window": None}
+TINY_HORIZON = {
+    "horizon": 1e-305,
+    "periods": [1e-310, 1.0],
+    "event_window": None,
+    "residual_horizons": None,
+    "search_bound": None,
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand, overrides, message",
+    [(name, TINY_PERIODS, "event rate") for name in ORDER[:-1]]
+    + [(name, FAR_HORIZON, "below 2**63") for name in ("generate", "analyze")]
+    + [(name, TINY_HORIZON, "event rate") for name in ("correlate", "analyze")],
+)
+def test_tiny_periods_are_refused_without_a_warning(tmp_path, capsys, subcommand, overrides, message):
+    cfg_path, _ = write_config(tmp_path, **overrides)
+    assert message in _assert_refused(tmp_path, capsys, subcommand, cfg_path)
+
+
+# analyze computes all three tables before it writes one, so a refusal from
+# the last of them leaves nothing behind.
+def test_a_spectrum_refusal_leaves_no_analyze_table(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise DomainError("refused by the spectrum")
+
+    monkeypatch.setattr(cli, "fourier_spectrum", refuse)
+    cfg_path, _ = write_config(tmp_path)
+    assert "refused by the spectrum" in _assert_refused(tmp_path, capsys, "analyze", cfg_path)

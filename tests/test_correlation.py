@@ -197,6 +197,17 @@ class TestCorrelation:
             with pytest.raises(DomainError, match="t must be at least"):
                 correlation(canonical_pair, 0.0, 0.0, t)
 
+    def test_angles_whose_sum_or_difference_overflows_are_refused(self, canonical_pair):
+        # cos(ta + tb) of an infinite sum raised a bare ValueError, and an
+        # infinite difference gave a nan residual
+        for ta, tb in ((1e308, 1e308), (1e308, -1e308), (-1e308, 1e308)):
+            with pytest.raises(DomainError, match="finite sum and difference"):
+                correlation(canonical_pair, ta, tb, 100.0)
+        # the largest finite angles whose sum and difference are finite keep their bits
+        big = math.ldexp(1.0, 1022)
+        est = correlation(canonical_pair, big, big, 100.0)
+        assert (est.theta_a, est.theta_b) == (big, big)
+
     def test_segment_count_metadata(self, canonical_pair):
         est = correlation(canonical_pair, 0.0, 0.0, 10.0)
         # events of both sequences in (0, 10] plus the trailing segment
@@ -259,6 +270,12 @@ class TestResidualCurve:
             with pytest.raises(DomainError, match="angles must be finite"):
                 residual_curve(canonical_pair, ta, tb, [10.0, 100.0])
 
+    def test_angles_whose_sum_or_difference_overflows_are_refused(self, canonical_pair):
+        # finite angles whose difference overflows gave a nan residual
+        for ta, tb in ((1e308, -1e308), (1e308, 1e308)):
+            with pytest.raises(DomainError, match="finite sum and difference"):
+                residual_curve(canonical_pair, ta, tb, [10.0, 100.0])
+
 
 class TestChsh:
     def test_genus0_all_zero_angles_hits_classical_deterministic_bound(self, genus0_pair):
@@ -293,6 +310,11 @@ class TestChsh:
         assert pairs == [(0.1, 0.3), (0.1, 0.4), (0.2, 0.3), (0.2, 0.4)]
         e11, e12, e21, e22 = (e.value for e in result.estimates)
         assert result.s == e11 + e12 + e21 - e22
+
+    def test_angles_whose_sum_or_difference_overflows_are_refused(self, canonical_pair):
+        for angles in ((1e308, 1e308, 1e308, 1e308), (1e308, 0.0, 0.0, -1e308)):
+            with pytest.raises(DomainError, match="finite sum and difference"):
+                chsh(canonical_pair, *angles, 500.0)
 
     def test_s_bounded_by_four(self, canonical_pair):
         rng = np.random.default_rng(6)

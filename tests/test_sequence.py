@@ -202,6 +202,29 @@ def test_window_routes_refuse_counts_past_two_to_the_63_before_cutting(tmp_path)
     assert not log.exists()
 
 
+# Periods so small that a quotient by them overflows are refused as such,
+# with no numpy overflow warning (an error under the test filters) first.
+def test_active_periods_whose_event_rate_overflows_are_refused():
+    # 1 / 5e-324 and 1 / 1e-310 overflow: the event rate sum(1 / T) has no float
+    for periods, horizon in (((5e-324, 1.0), 1e4), ((1e-310, 1.0), 1e-305)):
+        with pytest.raises(DomainError, match="event rate"):
+            make_seq(1, (1, 1), (0.7, 0.3), periods, horizon)
+    # an inactive cycle fires no event, whatever its period
+    assert event_count(make_seq(1, (0, 1), (0.7, 0.3), (5e-324, 1.0), 1e4)) == 10**4
+
+
+def test_a_winding_count_that_overflows_to_inf_is_refused():
+    far = make_seq(1, (1, 0), (0.7, 0.3), (1e-10, 1.0), 1e300)
+    with pytest.raises(DomainError, match=r"below 2\*\*63, got inf"):
+        event_count(far)
+
+
+def test_almost_period_scan_refuses_a_count_past_two_to_the_63_before_its_lattice():
+    tiny = make_seq(1, (1, 0), (0.7, 0.3), (1e-300, 1.0), 1e4)
+    with pytest.raises(DomainError, match=r"below 2\*\*63"):
+        find_almost_periods(tiny, 0.3, 10.0, 1.0)
+
+
 def test_sequence_parts_must_live_on_its_surface():
     s1, s2 = SurfaceSpec(1), SurfaceSpec(2)
     assign = CycleAssignment(s1, (0.5, 0.5), (1.0, 2.0))
