@@ -28,6 +28,8 @@ class ResourceGuardError(WindingPhaseError):
     """A run would generate more events (or ``what`` it counts) than the configured guard allows."""
 
     def __init__(self, event_count, limit, what="events"):
-        super().__init__(f"run would generate {event_count} {what}, guard limit is {limit}")
+        # a count of 1e17 or more (inf too) in %.6g form, not in full
+        shown = f"{event_count:.6g}" if event_count >= 1e17 else event_count
+        super().__init__(f"run would generate {shown} {what}, guard limit is {limit}")
         self.event_count = event_count
         self.limit = limit

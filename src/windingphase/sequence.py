@@ -36,7 +36,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .topology import TWO_PI, CycleAssignment, SurfaceSpec, WindingChain, _dot_mod_2pi, _integer, _real
+from .topology import TWO_PI, CycleAssignment, SurfaceSpec, WindingChain, _dot_mod_2pi, _integer, _real, _reals
 
 # Events per evaluation window: every segment reduction sums over windows of
 # about this many events, phase_at_many evaluates this many times per chunk
@@ -216,11 +216,8 @@ def phase_at_many(seq: PhaseSequence, taus) -> np.ndarray:
     wherever the last chunk was short.  find_almost_periods calls it on one
     such chunk of its event table at a time.
     """
-    taus = np.asarray(taus, dtype=float)
-    if taus.ndim > 1:
-        raise DomainError(f"need a 1-d array of times, got shape {taus.shape}")
-    taus = np.atleast_1d(taus)
-    if taus.size and (not np.all(np.isfinite(taus)) or taus.min() < 0.0 or taus.max() > seq.horizon):
+    taus = _reals("taus", taus)
+    if taus.size and (taus.min() < 0.0 or taus.max() > seq.horizon):
         raise DomainError(f"all times must lie in [0, horizon {seq.horizon}]")
     _, periods, increments = seq._active_arrays()
     phases, start = np.empty(taus.size), 0
@@ -486,10 +483,7 @@ def fourier_spectrum(seq: PhaseSequence, lams, t: float) -> np.ndarray:
     for a segment [a, b) in [0, t], at most |lam| * t after rounding.
     """
     t = _check_time(seq, t)
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim > 1:
-        raise DomainError(f"need a 1-d array of lams, got shape {lams.shape}")
-    lams = np.atleast_1d(lams)
+    lams = _reals("lams", lams)
     if lams.size == 0:  # no window to walk
         return np.zeros(0, dtype=complex)
     if not math.isfinite(float(np.max(np.abs(lams))) * t):
@@ -650,28 +644,21 @@ def find_almost_periods(
         chunks, alive, size = _factor_chunks(seq), list(range(len(shifts))), 64
         # the held rows, from the block's start on
         times, factors = np.zeros(0), np.zeros(0, dtype=complex)
-
-        def pull(enough):
-            """Append chunks to the held rows until enough(times) or every row is held."""
-            nonlocal times, factors
-            while not enough(times):
-                chunk = next(chunks, None)
-                if chunk is None:
-                    return
-                times, factors = np.concatenate((times, chunk[0])), np.concatenate((factors, chunk[1]))
-
         while alive:
             # the block runs from the first held time to the base event time
             # ``size`` rows on, or to the window end when no more than
             # ``size`` base event times are left
-            pull(lambda held: held.size >= size + 2)
+            while times.size < size + 2 and (chunk := next(chunks, None)) is not None:
+                times, factors = np.concatenate((times, chunk[0])), np.concatenate((factors, chunk[1]))
             base = np.searchsorted(times, window_end, side="right")
             last = base <= size + 1
             base_cuts = np.append(times[:base], window_end) if last else times[: size + 1]
-            # every probe tau + shift and every bracket (see scan) ends by
-            # the block's end plus the largest shift plus the sliver
-            reach = base_cuts[-1] + max(shifts[i] for i in alive) + sliver
-            pull(lambda held: held[-1] > reach)
+            # every probe tau + shift and every bracket (see scan) ends by the
+            # block's end plus the largest shift (the last alive) plus the sliver
+            reach = base_cuts[-1] + shifts[alive[-1]] + sliver
+            while times[-1] <= reach and (chunk := next(chunks, None)) is not None:
+                times, factors = np.concatenate((times, chunk[0])), np.concatenate((factors, chunk[1]))
+            chunk = None  # a chunk left bound would stay alive through the round
             yield [((base_cuts, times[1:], factors), i) for i in alive]
             alive = [] if last else [i for i in alive if worsts[i] <= epsilon]
             times, factors = times[size:], factors[size:]
@@ -764,11 +751,9 @@ def score_phase_samples(
     lag-1 circular autocorrelation of e^{i phase}; permutation entropy is
     order 3 with stable (position-order) tie ranks, normalized to [0, 1].
     """
-    phases = np.asarray(phases, dtype=float)
-    if phases.ndim != 1 or phases.size < 1000:
-        raise DomainError(f"need a 1-d array of >= 1000 samples, got shape {phases.shape}")
-    if not np.all(np.isfinite(phases)):
-        raise DomainError("every phase sample must be finite")
+    phases = _reals("phases", phases)
+    if phases.size < 1000:
+        raise DomainError(f"need >= 1000 phase samples, got {phases.size}")
     # one statistic at a time, so at most one's temporaries are alive
     entropy = _permutation_entropy(phases)
     reduced = np.mod(phases, TWO_PI)

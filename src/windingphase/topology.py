@@ -64,6 +64,20 @@ def _real(name: str, value, positive: bool = False) -> float:
     return x
 
 
+def _reals(name: str, values) -> np.ndarray:
+    """``values``, a real scalar or a 1-d sequence of reals, as a 1-d array of finite floats."""
+    try:
+        x = np.asarray(values)
+        if x.dtype.kind == "c":  # a float conversion would drop the imaginary parts
+            raise TypeError
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{name} must be real numbers that a float can hold") from None
+    if x.ndim > 1 or not np.all(np.isfinite(x)):
+        raise DomainError(f"{name} must be a scalar or a 1-d array of finite numbers, got shape {x.shape}")
+    return x
+
+
 @dataclass(frozen=True)
 class SurfaceSpec:
     """Compact orientable surface of the given genus.
@@ -245,10 +259,8 @@ def holonomy_loop(connection_samples: Sequence[Tuple[float, float]]) -> U1Phase:
     pts = list(connection_samples)
     if len(pts) < 2:
         raise DomainError(f"need at least 2 samples, got {len(pts)}")
-    sigma = np.asarray([p[0] for p in pts], dtype=float)
-    value = np.asarray([p[1] for p in pts], dtype=float)
-    if not (np.all(np.isfinite(sigma)) and np.all(np.isfinite(value))):
-        raise DomainError("samples must be finite")
+    sigma = _reals("sigma", [p[0] for p in pts])
+    value = _reals("connection values", [p[1] for p in pts])
     if sigma[0] < 0.0 or sigma[-1] > TWO_PI:
         raise DomainError("sigma values must lie in [0, 2*pi]")
     if np.any(np.diff(sigma) <= 0.0):

@@ -1,6 +1,7 @@
 """The CLI's output contract: manifest bytes, row counts and refusals."""
 
 import json
+import os
 
 import pytest
 
@@ -206,3 +207,20 @@ def test_a_spectrum_refusal_leaves_no_analyze_table(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "fourier_spectrum", refuse)
     cfg_path, _ = write_config(tmp_path)
     assert "refused by the spectrum" in _assert_refused(tmp_path, capsys, "analyze", cfg_path)
+
+
+# A step of 1e-300 asks for 5e301 shifts: the guard prints that count in %.6g
+# form, as the 2**63 refusal prints its count, not as 302 digits.
+def test_a_huge_guard_count_prints_in_short_form(tmp_path, capsys):
+    demo = os.path.join(os.path.dirname(__file__), "..", "demos", "configs", "canonical.json")
+    with open(demo, encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["sample_step"] = 1e-300
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "5e+301 almost-period shifts" in err
+    assert len(err.encode()) < 200
+    assert not out.exists()

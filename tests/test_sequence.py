@@ -23,6 +23,7 @@ from windingphase import (
     find_almost_periods,
     fourier_bohr_coefficient,
     fourier_spectrum,
+    holonomy_loop,
     pairing,
     phase_at,
     phase_at_many,
@@ -232,6 +233,31 @@ def test_sequence_parts_must_live_on_its_surface():
         PhaseSequence(s1, WindingChain(s2, (1, 0, 0, 0)), assign, 10.0)
     with pytest.raises(DimensionError, match="assignment"):
         PhaseSequence(s2, WindingChain(s2, (1, 0, 0, 0)), assign, 10.0)
+
+
+# Array arguments that are not real numbers a float holds: a string, an int
+# past the float range, or complex values, whose imaginary parts a float
+# conversion drops with only a warning.
+ARRAY_ENTRY_POINTS = {
+    "phase_at_many": phase_at_many,
+    "fourier_spectrum": lambda seq, values: fourier_spectrum(seq, values, 10.0),
+    "score_phase_samples": lambda seq, values: score_phase_samples(
+        values * 500 if isinstance(values, list) else np.tile(values, 500)
+    ),
+    "holonomy_loop": lambda seq, values: holonomy_loop(list(zip([0.0, 1.0], values))),
+}
+
+
+@pytest.mark.parametrize(
+    "values",
+    [["x", 1.0], [10**400, 1.0], [1j, 1.0], np.array([1j, 1.0])],
+    ids=["string", "huge_int", "complex_list", "complex_array"],
+)
+@pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
+def test_array_arguments_that_are_not_reals_are_refused(entry, values):
+    seq = make_seq(1, (1, 0), (0.7, 0.3), (1.0, 5.0), 100.0)
+    with pytest.raises(DomainError):
+        ARRAY_ENTRY_POINTS[entry](seq, values)
 
 
 class TestPhaseAt:
@@ -630,6 +656,35 @@ class TestFindAlmostPeriods:
                 assert abs(found[shift] - exact) <= bound
             elif exact > epsilon + bound:
                 assert shift not in found
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        coefficient=st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        beta=st.floats(0.0, TWO_PI, exclude_max=True),
+        horizon=st.floats(4.0, 8.0).map(lambda e: 10.0**e),
+        events=st.integers(8, 300),
+    )
+    def test_every_other_shift_takes_both_lattice_values(self, data, coefficient, beta, horizon, events):
+        # One active cycle: a shift s = q T + r with 0 < r < T moves tau by q
+        # periods where tau mod T < T - r and by q + 1 elsewhere, so on a
+        # window of several periods Phi(tau + s) - Phi(tau) takes both q m beta
+        # and (q + 1) m beta, and the discrepancy is the larger 2|sin(D/2)|.
+        # epsilon = 3 exceeds every discrepancy, so every scanned shift is
+        # reported; offsets r within 64 slivers of 0 or T are not checked.
+        period = horizon / events
+        search_bound = data.draw(st.floats(period, horizon / 2.0))
+        sample_step = data.draw(st.floats(period / 7.3, search_bound))
+        seq = make_seq(1, (coefficient, 0), (beta, 0.3), (period, 1.0), horizon)
+        rep = find_almost_periods(seq, 3.0, search_bound, sample_step)
+        assert len(rep.candidates) == rep.scanned
+        increment = seq._active_arrays()[2][0]
+        margin = 64 * 4.0 * np.spacing(horizon)
+        for c in rep.candidates:
+            q = math.floor(c.shift / period)
+            if margin < c.shift - q * period < period - margin:
+                exact = max(2.0 * abs(math.sin(k * increment / 2.0)) for k in (q, q + 1))
+                assert abs(c.discrepancy - exact) <= _scan_rounding_bound(seq, (q + 1) * increment)
 
     def test_parameter_validation(self):
         seq = make_seq(1, (1, 0), (0.5, 0.5), (1.0, 2.0), 50.0)
