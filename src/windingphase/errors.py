@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from decimal import Context, Decimal
+
 
 class WindingPhaseError(Exception):
     """Base class for all errors raised by this package."""
@@ -29,7 +31,10 @@ class ResourceGuardError(WindingPhaseError):
 
     def __init__(self, event_count, limit, what="events"):
         # a count of 1e17 or more (inf too) in %.6g form, not in full
-        shown = f"{event_count:.6g}" if event_count >= 1e17 else event_count
+        try:
+            shown = f"{event_count:.6g}" if event_count >= 1e17 else event_count
+        except OverflowError:  # an int past the float range, rounded to 6 digits by Decimal
+            shown = format(Context(prec=6).plus(Decimal(event_count)).normalize(), "g")
         super().__init__(f"run would generate {shown} {what}, guard limit is {limit}")
         self.event_count = event_count
         self.limit = limit

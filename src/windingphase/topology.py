@@ -54,6 +54,8 @@ def _integer(name: str, value, minimum: Optional[int] = None) -> int:
 def _real(name: str, value, positive: bool = False) -> float:
     """``value`` as a finite float, and > 0 when ``positive``."""
     try:
+        if isinstance(value, (str, bytes)):  # float() would parse a numeric string
+            raise TypeError
         x = float(value)
     except (TypeError, ValueError):
         raise DomainError(f"{name} must be a number, got {value!r}") from None
@@ -68,7 +70,8 @@ def _reals(name: str, values) -> np.ndarray:
     """``values``, a real scalar or a 1-d sequence of reals, as a 1-d array of finite floats."""
     try:
         x = np.asarray(values)
-        if x.dtype.kind == "c":  # a float conversion would drop the imaginary parts
+        # a float conversion would drop imaginary parts and parse numeric strings
+        if x.dtype.kind in "cUS" or (x.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in x.flat)):
             raise TypeError
         x = np.atleast_1d(np.asarray(x, dtype=float))
     except (TypeError, ValueError, OverflowError):

@@ -235,9 +235,10 @@ def test_sequence_parts_must_live_on_its_surface():
         PhaseSequence(s2, WindingChain(s2, (1, 0, 0, 0)), assign, 10.0)
 
 
-# Array arguments that are not real numbers a float holds: a string, an int
-# past the float range, or complex values, whose imaginary parts a float
-# conversion drops with only a warning.
+# Array arguments that are not real numbers a float holds: a string (numeric
+# ones too, which a float conversion would parse), an int past the float
+# range, or complex values, whose imaginary parts a float conversion drops
+# with only a warning.
 ARRAY_ENTRY_POINTS = {
     "phase_at_many": phase_at_many,
     "fourier_spectrum": lambda seq, values: fourier_spectrum(seq, values, 10.0),
@@ -250,8 +251,8 @@ ARRAY_ENTRY_POINTS = {
 
 @pytest.mark.parametrize(
     "values",
-    [["x", 1.0], [10**400, 1.0], [1j, 1.0], np.array([1j, 1.0])],
-    ids=["string", "huge_int", "complex_list", "complex_array"],
+    [["x", 1.0], ["2.5", 1.0], [b"3", 1.0], ["2.5", 2**70], [10**400, 1.0], [1j, 1.0], np.array([1j, 1.0])],
+    ids=["string", "numeric_string", "bytes", "string_in_objects", "huge_int", "complex_list", "complex_array"],
 )
 @pytest.mark.parametrize("entry", ARRAY_ENTRY_POINTS)
 def test_array_arguments_that_are_not_reals_are_refused(entry, values):

@@ -344,7 +344,8 @@ class TestCertifyIncommensurable:
 
 
 # A value float() cannot read is refused like any other value out of its
-# domain, by the one real rule every argument goes through.
+# domain, by the one real rule every argument goes through; so is a string
+# or bytes that float() would parse.
 @pytest.mark.parametrize(
     "call",
     [
@@ -352,8 +353,11 @@ class TestCertifyIncommensurable:
         lambda s, assign, seq: find_almost_periods(seq, None, 10.0, 1.0),
         lambda s, assign, seq: PhaseSequence(s, seq.chain, assign, "big"),
         lambda s, assign, seq: certify_incommensurable(assign, 64, None),
+        lambda s, assign, seq: find_almost_periods(seq, "0.3", 10.0, 1.0),
+        lambda s, assign, seq: phase_at(seq, "2.5"),
+        lambda s, assign, seq: phase_at(seq, b"3"),
     ],
-    ids=["beta", "epsilon", "horizon", "tolerance"],
+    ids=["beta", "epsilon", "horizon", "tolerance", "numeric_string", "tau_string", "tau_bytes"],
 )
 def test_non_numbers_raise_domain_error(call):
     s = SurfaceSpec(1)
