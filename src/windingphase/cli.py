@@ -26,9 +26,9 @@ from typing import List, Tuple
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, config_digest, load_config
+from .config import ExperimentConfig, config_digest, config_to_dict, load_config, parse_config
 from .correlation import PairConfig, chsh, correlations, residual_curve
-from .errors import ConfigError, DimensionError, DomainError, ResourceGuardError
+from .errors import ConfigError, DimensionError, DomainError, ResourceGuardError, _shown
 from .eventlog import write_event_log
 from .sequence import (
     PhaseSequence,
@@ -327,7 +327,7 @@ def resolve_out_dir(config: ExperimentConfig) -> str:
 def run_subcommand(config: ExperimentConfig, name: str) -> RunManifest:
     """Run one subcommand, write its outputs and manifest, return the manifest."""
     if name not in SUBCOMMANDS:
-        raise ConfigError(f"unknown subcommand {name!r}; expected one of {tuple(SUBCOMMANDS)}")
+        raise ConfigError(f"unknown subcommand {_shown(name)}; expected one of {tuple(SUBCOMMANDS)}")
     out_dir = resolve_out_dir(config)
     started_at = datetime.datetime.now(datetime.timezone.utc).isoformat()
     _, run = SUBCOMMANDS[name]
@@ -373,10 +373,8 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-        if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError("--seed must be an unsigned 64-bit integer")
-            config = replace(config, seed=args.seed)
+        if args.seed is not None:  # checked by the config's seed rule
+            config = parse_config(dict(config_to_dict(config), seed=args.seed))
         if args.out is not None:
             config = replace(config, out_dir=args.out)
         manifest = run_subcommand(config, args.command)

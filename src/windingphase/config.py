@@ -16,7 +16,8 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Callable, Optional, Tuple
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError, _shown
+from .topology import _integer, _real
 
 _CANONICAL_CHSH = (0.0, math.pi / 2.0, 7.0 * math.pi / 4.0, math.pi / 4.0)
 _BASIS = "2*genus"  # list length: one entry per basis cycle
@@ -135,25 +136,14 @@ def _want_scalar(value, key, rule):
     if rule.kind is str:
         if not isinstance(value, str) or (rule.choices and value not in rule.choices):
             wanted = " or ".join(map(repr, rule.choices)) or "a string"
-            raise ConfigError(f"expected {wanted}, got {value!r}", key=key)
+            raise ConfigError(f"expected {wanted}, got {_shown(value)}", key=key)
         return value
-    real = rule.kind is float
-    if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
-        raise ConfigError(f"expected {'a number' if real else 'an integer'}, got {value!r}", key=key)
-    if real:
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ConfigError("must be finite, got an integer too large for a float", key=key) from None
-        if not math.isfinite(value):
-            raise ConfigError(f"must be finite, got {value!r}", key=key)
-    if rule.positive and value <= 0.0:
-        raise ConfigError(f"must be > 0, got {value}", key=key)
-    if rule.minimum is not None and value < rule.minimum:
-        raise ConfigError(f"must be >= {rule.minimum}, got {value}", key=key)
-    if rule.maximum is not None and value > rule.maximum:
-        raise ConfigError(f"must be <= {rule.maximum}, got {value}", key=key)
-    return value
+    try:
+        if rule.kind is float:
+            return _real(key, value, rule.positive)
+        return _integer(key, value, rule.minimum, rule.maximum)
+    except DomainError as exc:  # its message begins with the key, which ConfigError prefixes
+        raise ConfigError(str(exc).removeprefix(f"{key} "), key=key) from None
 
 
 def _want_value(value, key, rule, parsed):
@@ -161,11 +151,11 @@ def _want_value(value, key, rule, parsed):
         value = _want_scalar(value, key, rule)
     else:
         if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"expected a list, got {value!r}", key=key)
+            raise ConfigError(f"expected a list, got {_shown(value)}", key=key)
         length = 2 * parsed["genus"] if rule.length == _BASIS else rule.length
         if length != _FREE and len(value) != length:
             basis = " (= 2*genus)" if rule.length == _BASIS else ""
-            raise ConfigError(f"expected length {length}{basis}, got {len(value)}", key=key)
+            raise ConfigError(f"expected length {_shown(length)}{basis}, got {len(value)}", key=key)
         value = tuple(_want_scalar(v, f"{key}[{k}]", rule) for k, v in enumerate(value))
     if rule.check:
         rule.check(value, parsed, key)
@@ -206,10 +196,8 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.loads(fh.read())
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, not JSON, or an integer literal past 4300 digits
+        raise ConfigError(f"{path}: not valid UTF-8 JSON: {_shown(str(exc))}") from exc
     return parse_config(data, source=str(path))
 
 

@@ -1,6 +1,20 @@
 """Exception types shared across the package."""
 
-from decimal import Context, Decimal
+import reprlib
+from decimal import MAX_EMAX, Context, Decimal
+
+# one level of nesting, one item of a list or tuple, no dict items and 60 characters of a
+# string: reprlib cuts any echo to a few dozen characters
+_SHORT = reprlib.Repr()
+_SHORT.maxlevel, _SHORT.maxlist, _SHORT.maxtuple, _SHORT.maxdict, _SHORT.maxstring = 1, 1, 1, 0, 60
+
+
+def _shown(value) -> str:
+    """``value`` as a message echoes it: an int of 1e17 or more in %.6g form, else a short repr."""
+    if isinstance(value, int) and abs(value) >= 10**17:
+        # through Decimal, since str() of an int past 4300 digits raises and float() overflows
+        return format(Context(prec=6, Emax=MAX_EMAX).normalize(Decimal(value)), "g")
+    return _SHORT.repr(value)
 
 
 class WindingPhaseError(Exception):
@@ -22,7 +36,7 @@ class ConfigError(WindingPhaseError):
     """
 
     def __init__(self, message, key=None):
-        super().__init__(f"{key}: {message}" if key else message)
+        super().__init__(f"{_shown(key)}: {message}" if key else message)
         self.key = key
 
 
@@ -30,11 +44,6 @@ class ResourceGuardError(WindingPhaseError):
     """A run would generate more events (or ``what`` it counts) than the configured guard allows."""
 
     def __init__(self, event_count, limit, what="events"):
-        # a count of 1e17 or more (inf too) in %.6g form, not in full
-        try:
-            shown = f"{event_count:.6g}" if event_count >= 1e17 else event_count
-        except OverflowError:  # an int past the float range, rounded to 6 digits by Decimal
-            shown = format(Context(prec=6).plus(Decimal(event_count)).normalize(), "g")
-        super().__init__(f"run would generate {shown} {what}, guard limit is {limit}")
+        super().__init__(f"run would generate {_shown(event_count)} {what}, guard limit is {limit}")
         self.event_count = event_count
         self.limit = limit

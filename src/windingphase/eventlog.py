@@ -21,7 +21,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _shown
 from .sequence import PhaseEvent, PhaseSequence, _check_window, _window_cuts, event_arrays
 
 HEADER = "time,cycle_index,increment"
@@ -108,7 +108,7 @@ def read_event_log(path) -> List[PhaseEvent]:
 def _check_header(line: str) -> None:
     header = line.strip()
     if header != HEADER:
-        raise DomainError(f"unrecognized event log header: {header!r}")
+        raise DomainError(f"unrecognized event log header: {_shown(header)}")
 
 
 def _parse_chunk(lines, lineno: int):
@@ -146,7 +146,7 @@ def _parse_lines(lines, lineno: int) -> List[PhaseEvent]:
                 values.append(convert(text))
             except ValueError:
                 raise DomainError(
-                    f"line {lineno}: {name} {text!r} is not a valid {convert.__name__}"
+                    f"line {lineno}: {name} {_shown(text)} is not a valid {convert.__name__}"
                 ) from None
         events.append(PhaseEvent(*values))
     return events

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, _shown
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,23 +42,25 @@ def wrap_angle(angle: float) -> float:
     return a
 
 
-def _integer(name: str, value, minimum: Optional[int] = None) -> int:
-    """``value`` as an int: an exact integer (not a bool) of at least ``minimum``."""
+def _integer(name: str, value, minimum: Optional[int] = None, maximum: Optional[int] = None) -> int:
+    """``value`` as an int: an exact integer (not a bool) in [``minimum``, ``maximum``]."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+        raise DomainError(f"{name} must be an integer, got {_shown(value)}")
     if minimum is not None and value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+        raise DomainError(f"{name} must be >= {minimum}, got {_shown(value)}")
+    if maximum is not None and value > maximum:
+        raise DomainError(f"{name} must be <= {maximum}, got {_shown(value)}")
     return int(value)
 
 
 def _real(name: str, value, positive: bool = False) -> float:
     """``value`` as a finite float, and > 0 when ``positive``."""
     try:
-        if isinstance(value, (str, bytes)):  # float() would parse a numeric string
+        if isinstance(value, (str, bytes, bool, np.bool_)):  # float() would parse "2.5" and take True as 1.0
             raise TypeError
         x = float(value)
     except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a number, got {value!r}") from None
+        raise DomainError(f"{name} must be a number, got {_shown(value)}") from None
     except OverflowError:
         raise DomainError(f"{name} must be finite, got an integer too large for a float") from None
     if not math.isfinite(x) or (positive and x <= 0.0):
@@ -70,8 +72,8 @@ def _reals(name: str, values) -> np.ndarray:
     """``values``, a real scalar or a 1-d sequence of reals, as a 1-d array of finite floats."""
     try:
         x = np.asarray(values)
-        # a float conversion would drop imaginary parts and parse numeric strings
-        if x.dtype.kind in "cUS" or (x.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in x.flat)):
+        # a float conversion would take booleans, drop imaginary parts and parse numeric strings
+        if x.dtype.kind in "bcUS" or (x.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in x.flat)):
             raise TypeError
         x = np.atleast_1d(np.asarray(x, dtype=float))
     except (TypeError, ValueError, OverflowError):

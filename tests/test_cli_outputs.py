@@ -1,12 +1,21 @@
 """The CLI's output contract: manifest bytes, row counts and refusals."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from test_cli import write_config
+from test_cli import small_config, write_config
 from windingphase import DomainError, cli
 from windingphase.cli import main
+from windingphase.config import ExperimentConfig
 
 ORDER = ("generate", "analyze", "correlate", "residual", "chsh", "report")
 
@@ -216,3 +225,50 @@ def test_a_spectrum_refusal_leaves_no_analyze_table(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "fourier_spectrum", refuse)
     cfg_path, _ = write_config(tmp_path)
     assert "refused by the spectrum" in _assert_refused(tmp_path, capsys, "analyze", cfg_path)
+
+
+# The refusal contract over hostile configs: the small test config with one
+# or two keys (or a 10,000-character unknown key) set to edge floats,
+# integers past int64 and the float range, non-finite values, a numeric
+# string, a bool, null, a 10,000-character string, or a short list of them.
+# horizon and periods take only the values that the schema or a refusal past
+# it turns down, so that no admitted run is large
+REFUSED_TIMES = (0, -1, 5e-324, 1e-300, 10**400, -(10**400), math.nan, math.inf,
+                 "2.5", True, None, "x" * 10000)
+HOSTILE = REFUSED_TIMES + (1, 1e300, 1.7e308, 2**63)
+KEYS = [f.name for f in fields(ExperimentConfig)] + ["k" * 10000]
+
+
+def _values(pool):
+    return st.sampled_from(pool) | st.lists(st.sampled_from(pool), max_size=4)
+
+
+@st.composite
+def hostile_configs(draw):
+    keys = draw(st.lists(st.sampled_from(KEYS), min_size=1, max_size=2, unique=True))
+    return {key: draw(_values(REFUSED_TIMES if key in ("horizon", "periods") else HOSTILE)) for key in keys}
+
+
+def _run(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        status = main(argv)
+    return status, err.getvalue()
+
+
+@settings(max_examples=200, deadline=10000, derandomize=True)
+@given(overrides=hostile_configs(), subcommand=st.sampled_from(ORDER[:-1]))
+def test_hostile_configs_are_run_or_refused_cleanly(overrides, subcommand):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        cfg_path.write_text(json.dumps(small_config(**overrides)), encoding="utf-8")
+        status, err = _run([subcommand, "--config", str(cfg_path), "--out", str(out)])
+        assert status in (0, 1, 2, 3)
+        if status:
+            assert not out.exists()
+            assert "Traceback" not in err
+            assert len(err.encode()) <= 200, err
+        else:
+            assert not {"horizon", "periods"} & set(overrides)
+            assert _run(["report", "--config", str(cfg_path), "--out", str(out)])[0] == 0
+            assert "digests verified" in (out / "summary.txt").read_text(encoding="utf-8")

@@ -213,6 +213,15 @@ def test_load_rejects_text_that_is_not_utf8(tmp_path, capsys):
     assert "configuration error:" in capsys.readouterr().err
 
 
+def test_an_integer_literal_past_4300_digits_is_a_config_error(tmp_path):
+    # json.loads raises Python's int-digit-limit ValueError; its text is cut short
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(MINIMAL)[:-1] + ', "n_samples": 1' + "0" * 5000 + "}")
+    with pytest.raises(ConfigError, match="huge.json") as exc:
+        load_config(path)
+    assert len(str(exc.value).replace(str(path), "")) < 200
+
+
 def test_load_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_config(tmp_path / "absent.json")

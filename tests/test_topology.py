@@ -18,9 +18,11 @@ from windingphase import (
     certify_incommensurable,
     chain_compose,
     find_almost_periods,
+    fourier_spectrum,
     holonomy_loop,
     pairing,
     phase_at,
+    randomness_battery,
     wrap_angle,
 )
 from windingphase.topology import _best_rational
@@ -383,6 +385,35 @@ def test_integer_too_large_for_a_float_raises_domain_error():
     seq = PhaseSequence(s, WindingChain(s, (1, 1)), assign, 100.0)
     with pytest.raises(DomainError, match="tau must be finite, got an integer too large for a float"):
         phase_at(seq, 10**400)
+
+
+# Booleans are not numbers here either, as the config schema already holds:
+# True is refused where it would pass as 1.0, a scalar or an array of them.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, assign, seq: phase_at(seq, True),
+        lambda s, assign, seq: PhaseSequence(s, seq.chain, assign, True),
+        lambda s, assign, seq: CycleAssignment(s, (1.0, 2.0), (True, 2.0)),
+        lambda s, assign, seq: fourier_spectrum(seq, [True, False], 10.0),
+    ],
+    ids=["tau", "horizon", "period", "lams"],
+)
+def test_booleans_are_not_numbers(call):
+    s = SurfaceSpec(1)
+    assign = CycleAssignment(s, (1.0, 2.0), (1.0, math.sqrt(2.0)))
+    seq = PhaseSequence(s, WindingChain(s, (1, 1)), assign, 100.0)
+    with pytest.raises(DomainError):
+        call(s, assign, seq)
+
+
+# str() of an int past 4300 digits raises; the refusal echoes it in short form.
+def test_an_integer_past_4300_digits_is_refused_in_short_form():
+    s = SurfaceSpec(1)
+    seq = PhaseSequence(s, WindingChain(s, (1, 1)), CycleAssignment(s, (1.0, 2.0), (1.0, math.sqrt(2.0))), 100.0)
+    with pytest.raises(DomainError, match=r"n_samples must be >= 1000, got -1e\+5000$") as exc:
+        randomness_battery(seq, 100.0, -10**5000)
+    assert len(str(exc.value)) < 200
 
 
 def test_a_coefficient_with_no_float_is_refused():
