@@ -359,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to the JSON config file")
         sp.add_argument("--out", help="output directory (overrides config and environment)")
-        sp.add_argument("--seed", type=int, help="seed override (unsigned 64-bit)")
+        sp.add_argument("--seed", help="seed override (unsigned 64-bit)")
     return parser
 
 
@@ -373,8 +373,12 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-        if args.seed is not None:  # checked by the config's seed rule
-            config = parse_config(dict(config_to_dict(config), seed=args.seed))
+        if args.seed is not None:  # checked by the config's seed rule, as text if int() cannot read it
+            try:
+                seed = int(args.seed)
+            except ValueError:
+                seed = args.seed
+            config = parse_config(dict(config_to_dict(config), seed=seed))
         if args.out is not None:
             config = replace(config, out_dir=args.out)
         manifest = run_subcommand(config, args.command)

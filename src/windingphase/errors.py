@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import math
 import reprlib
 from decimal import MAX_EMAX, Context, Decimal
 
@@ -12,8 +13,13 @@ _SHORT.maxlevel, _SHORT.maxlist, _SHORT.maxtuple, _SHORT.maxdict, _SHORT.maxstri
 def _shown(value) -> str:
     """``value`` as a message echoes it: an int of 1e17 or more in %.6g form, else a short repr."""
     if isinstance(value, int) and abs(value) >= 10**17:
-        # through Decimal, since str() of an int past 4300 digits raises and float() overflows
-        return format(Context(prec=6, Emax=MAX_EMAX).normalize(Decimal(value)), "g")
+        # str() of an int past 4300 digits raises, float() overflows and Decimal(value) is quadratic in
+        # the digits, so Decimal rounds the 11 or more leading digits and one more digit, 1 if any digit
+        # after them is nonzero (so a tie stays a tie); one division finds them
+        k = int((abs(value).bit_length() - 1) * math.log10(2)) - 10
+        head, rest = divmod(abs(value), 10**k)
+        digits = Decimal(f"{'-' * (value < 0)}{head}{int(rest != 0)}e{k - 1}")
+        return format(Context(prec=6, Emax=MAX_EMAX).normalize(digits), "g")
     return _SHORT.repr(value)
 
 

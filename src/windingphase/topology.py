@@ -72,8 +72,12 @@ def _reals(name: str, values) -> np.ndarray:
     """``values``, a real scalar or a 1-d sequence of reals, as a 1-d array of finite floats."""
     try:
         x = np.asarray(values)
-        # a float conversion would take booleans, drop imaginary parts and parse numeric strings
-        if x.dtype.kind in "bcUS" or (x.dtype.kind == "O" and any(isinstance(v, (str, bytes)) for v in x.flat)):
+        # a float conversion would take booleans, drop imaginary parts and parse numeric strings;
+        # numpy reads [True, 0.5] as floats, so a sequence's elements are checked as objects
+        items = x if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+        if x.dtype.kind in "bcUS" or (
+            items.dtype.kind == "O" and any(isinstance(v, (bool, np.bool_, str, bytes)) for v in items.flat)
+        ):
             raise TypeError
         x = np.atleast_1d(np.asarray(x, dtype=float))
     except (TypeError, ValueError, OverflowError):

@@ -166,15 +166,23 @@ def test_a_coefficient_times_winding_count_with_no_float_is_refused(tmp_path, ca
     assert not out.exists()
 
 
-def _assert_refused(tmp_path, capsys, subcommand, cfg_path):
+def _assert_refused(tmp_path, capsys, subcommand, cfg_path, *flags):
     """subcommand exits 1 as a configuration error, with no traceback and no --out directory."""
     out = tmp_path / "out"
-    assert main([subcommand, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert main([subcommand, "--config", str(cfg_path), "--out", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "Traceback" not in err
     assert not out.exists()
     return err
+
+
+# int() reads no --seed past 4300 digits: the config's seed rule refuses the
+# text in short form, where argparse's usage error echoed all of it.
+def test_a_seed_past_4300_digits_is_refused_in_short_form(tmp_path, capsys):
+    cfg_path, _ = write_config(tmp_path)
+    err = _assert_refused(tmp_path, capsys, "chsh", cfg_path, "--seed", "1" + "0" * 5000)
+    assert "'seed'" in err and len(err.encode()) <= 200, err
 
 
 # Finite detector angles whose sum or difference overflows: cos(inf) raised a

@@ -6,8 +6,9 @@ import tracemalloc
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import read_event_log_by_line, write_event_log_one_shot
@@ -221,6 +222,62 @@ def test_log_without_active_cycles_is_header_only(tmp_path):
     # an interval shorter than every period holds no event either
     assert write_event_log(path, make_seq(), 0.0, 0.5) == 0
     assert path.read_text() == "time,cycle_index,increment\n"
+
+
+# Times of [1, 1e16) are written by eventlog._time_text; any window holding
+# another time formats each with %.17g.  Both routes write the one-shot bytes.
+@pytest.mark.parametrize(
+    "periods, horizon, fallback",
+    [((0.3, math.sqrt(2.0)), 2000.0, "first"), ((1e13, math.sqrt(2.0) * 1e13), 3e16, "last")],
+    ids=["period_below_1", "times_past_1e16"],
+)
+def test_windows_outside_the_kernel_range_fall_back_to_the_format(tmp_path, monkeypatch, periods, horizon, fallback):
+    s = SurfaceSpec(1)
+    seq = PhaseSequence(s, WindingChain(s, (2, -1)), CycleAssignment(s, (0.7, 1.9), periods), horizon)
+    windows, kernel = [], []
+    time_text = eventlog._time_text
+
+    def events(seq, t0, t1):
+        arrays = event_arrays(seq, t0, t1)
+        windows.append(arrays[0])
+        return arrays
+
+    monkeypatch.setattr(eventlog, "event_arrays", events)
+    monkeypatch.setattr(eventlog, "_time_text", lambda x: kernel.append(x) or time_text(x))
+    with mock.patch.object(sequence, "_WINDOW_EVENTS", 256):
+        rows = write_event_log(tmp_path / "events.csv", seq)
+    assert rows == write_event_log_one_shot(tmp_path / "one_shot.csv", seq)
+    assert (tmp_path / "events.csv").read_bytes() == (tmp_path / "one_shot.csv").read_bytes()
+    in_range = [1.0 <= w[0] and w[-1] < 1e16 for w in windows]
+    assert len(windows) >= 3 and in_range.count(False) >= 1 and len(kernel) == in_range.count(True) >= 1
+    assert not in_range[0 if fallback == "first" else -1]
+
+
+@st.composite
+def kernel_times(draw):
+    """A double of [1, 1e16): any, a whole number, a few ulps from 10**k, or a tie m * 2**-(k + 1), m odd."""
+    kind = draw(st.sampled_from(["any", "integer", "power of ten", "tie"]))
+    if kind == "any":
+        return draw(st.floats(1.0, 1e16, exclude_max=True))
+    if kind == "integer":
+        return float(draw(st.integers(1, 2**53)))
+    if kind == "power of ten":
+        x = struct.unpack("<d", struct.pack("<q", float_bits(float(10 ** draw(st.integers(0, 16)))) + draw(st.integers(-8, 8))))[0]
+        assume(1.0 <= x < 1e16)
+        return x
+    # x * 10**k with d = 16 - k digits before the point ends in exactly .5
+    d = draw(st.integers(0, 15))
+    k = 16 - d
+    m = draw(st.integers(10**d * 2 ** (k + 1), min(10 ** (d + 1) * 2 ** (k + 1), 2**53) - 1))
+    return (m | 1) / 2.0 ** (k + 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(times=st.lists(kernel_times(), min_size=1, max_size=40))
+def test_time_kernel_writes_the_bytes_of_percent_17g(times):
+    x = np.sort(np.array(times))
+    rows = [bytes(row).rstrip(b"\0") for row in eventlog._time_text(x)]
+    assert rows == [b"%.17g" % t for t in x.tolist()]
 
 
 def write_peak(path, seq):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from decimal import MAX_EMAX, Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -22,9 +26,11 @@ from windingphase import (
     holonomy_loop,
     pairing,
     phase_at,
+    phase_at_many,
     randomness_battery,
     wrap_angle,
 )
+from windingphase.errors import _shown
 from windingphase.topology import _best_rational
 
 TWO_PI = 2.0 * math.pi
@@ -388,7 +394,8 @@ def test_integer_too_large_for_a_float_raises_domain_error():
 
 
 # Booleans are not numbers here either, as the config schema already holds:
-# True is refused where it would pass as 1.0, a scalar or an array of them.
+# True is refused where it would pass as 1.0, a scalar or an array of them,
+# and mixed with floats, which numpy reads as one float array.
 @pytest.mark.parametrize(
     "call",
     [
@@ -396,8 +403,10 @@ def test_integer_too_large_for_a_float_raises_domain_error():
         lambda s, assign, seq: PhaseSequence(s, seq.chain, assign, True),
         lambda s, assign, seq: CycleAssignment(s, (1.0, 2.0), (True, 2.0)),
         lambda s, assign, seq: fourier_spectrum(seq, [True, False], 10.0),
+        lambda s, assign, seq: phase_at_many(seq, [True, 2.0]),
+        lambda s, assign, seq: fourier_spectrum(seq, [True, 0.5], 10.0),
     ],
-    ids=["tau", "horizon", "period", "lams"],
+    ids=["tau", "horizon", "period", "lams", "taus_with_floats", "lams_with_floats"],
 )
 def test_booleans_are_not_numbers(call):
     s = SurfaceSpec(1)
@@ -414,6 +423,37 @@ def test_an_integer_past_4300_digits_is_refused_in_short_form():
     with pytest.raises(DomainError, match=r"n_samples must be >= 1000, got -1e\+5000$") as exc:
         randomness_battery(seq, 100.0, -10**5000)
     assert len(str(exc.value)) < 200
+
+
+def decimal_shown(value):
+    """An int of 1e17 or more in %.6g form, converted whole by Decimal (quadratic in its digits)."""
+    return format(Context(prec=6, Emax=MAX_EMAX).normalize(Decimal(value)), "g")
+
+
+# Ties at the sixth digit, their neighbours, carries into a seventh digit and 10**k - 1.
+EDGE_INTS = [m * 10**k + j for m in (1000005, 1000015, 1234565, 9999995) for k in (11, 400, 4990) for j in (-1, 0, 1)]
+EDGE_INTS += [10**17, 10**17 + 1, 10**5000 - 1, 10**5000]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    value=st.sampled_from(EDGE_INTS) | st.integers(17, 4999).flatmap(lambda d: st.integers(10**d, 10 ** (d + 1))),
+    negative=st.booleans(),
+)
+def test_huge_ints_are_shown_as_decimal_rounds_them(value, negative):
+    value = -value if negative else value
+    assert _shown(value) == decimal_shown(value)
+
+
+# Decimal's conversion of a million-digit int took about 24 s; one division finds the digits shown.
+def test_a_million_digit_refusal_is_shown_in_seconds():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")) if p
+    )
+    code = "from windingphase import SurfaceSpec\ntry:\n    SurfaceSpec(-10**10**6)\nexcept ValueError as exc:\n    print(exc)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10)
+    assert proc.stdout == "genus must be >= 0, got -1e+1000000\n", proc.stderr
 
 
 def test_a_coefficient_with_no_float_is_refused():
