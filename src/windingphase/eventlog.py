@@ -13,21 +13,19 @@ d = floor(log10 x), the 17 digits are x * 10**(16 - d) rounded half to even.
 That scale is an exact double, Dekker's TwoProduct gives the product exactly
 as p + e, and p >= 1e16 > 2**53 is an even whole number, so the digits are
 int(p) + rint(e).  A window holding any other time formats each with ``%.17g``.
-The reader parses the body in chunks of lines with ``np.loadtxt`` and still
-returns every event of the log as one list.
+The reader parses the body in chunks of lines with ``np.loadtxt``.  On the
+first line that loadtxt refuses, or byte that is not UTF-8, it drops the
+chunks and reads the whole log once line by line instead.
 """
 
 from __future__ import annotations
 
-import gc
-import itertools
-from collections import deque
 from typing import List
 
 import numpy as np
 
 from .errors import DomainError, _shown
-from .sequence import PhaseEvent, PhaseSequence, _check_window, _window_cuts, event_arrays
+from .sequence import PhaseEvent, PhaseSequence, _check_window, _phase_events, _window_cuts, event_arrays
 
 HEADER = "time,cycle_index,increment"
 
@@ -40,10 +38,6 @@ _QUADS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing
 _KEEP = (np.arange(19)[:, None] > np.arange(18)).astype(np.uint8)
 
 _ROW = np.dtype([("time", "f8"), ("cycle_index", "i8"), ("increment", "f8")])
-
-# Setters of PhaseEvent's slots in _ROW's field order; they write past the
-# frozen dataclass's __setattr__ like its own __init__ does.
-_SLOT_SETTERS = tuple(getattr(PhaseEvent, name).__set__ for name in _ROW.names)
 
 
 def write_event_log(path, seq: PhaseSequence, t0: float = 0.0, t1: float = None) -> int:
@@ -122,63 +116,39 @@ def read_event_log(path) -> List[PhaseEvent]:
     The body is parsed in chunks of lines by ``np.loadtxt``, which reads the
     numbers it accepts to the same values.  It refuses some lines that the
     builtins accept (``1_0``, a cycle index beyond int64, a whitespace-only
-    line); a chunk it refuses is parsed line by line, which gives every
-    line's exact result or error.
+    line), and bytes that are not UTF-8 refuse to decode: on the first
+    refusal the chunks are dropped and the whole log is read once line by
+    line, which gives every line's exact result or error.
     """
-    events = []
-    # the list holds no cycles, so the collections its allocations would
-    # trigger find nothing to free
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            _check_header(fh.readline())
-            lineno = 2
-            try:
-                while lines := fh.readlines(_CHUNK_CHARS):
-                    events.extend(_parse_chunk(lines, lineno))
-                    lineno += len(lines)
-            except UnicodeDecodeError:
-                # the bad bytes may follow a malformed line of this chunk: report
-                # whichever a line-by-line read of the whole file meets first
-                fh.seek(0)
-                _check_header(fh.readline())
-                return _parse_lines(fh, 2)
-    finally:
-        if collecting:
-            gc.enable()
-    return events
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != HEADER:
+            raise DomainError(f"unrecognized event log header: {_shown(header)}")
+        try:
+            return _phase_events(_chunks(fh))
+        except ValueError:  # loadtxt refused a line, or a byte is not UTF-8
+            pass  # the line-by-line read below runs once the chunks' events are freed with the traceback
+        fh.seek(0)
+        fh.readline()
+        return _parse_lines(fh)
 
 
-def _check_header(line: str) -> None:
-    header = line.strip()
-    if header != HEADER:
-        raise DomainError(f"unrecognized event log header: {_shown(header)}")
-
-
-def _parse_chunk(lines, lineno: int):
-    """The events of ``lines``, the first of which is line ``lineno`` of the log."""
-    if all(map(str.isspace, lines)):  # loadtxt warns on a chunk without data
-        return []
-    try:
+def _chunks(fh):
+    """The time, cycle and increment columns of each chunk of ``fh``'s lines, as np.loadtxt reads them."""
+    while lines := fh.readlines(_CHUNK_CHARS):
+        if all(map(str.isspace, lines)):  # loadtxt warns on a chunk without data
+            continue
         rows = np.loadtxt(lines, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
-    except ValueError:
-        return _parse_lines(lines, lineno)
-    # a cycle's increment repeats on all its rows: one float per bit pattern
-    bits, which = np.unique(rows["increment"].view(np.int64), return_inverse=True)
-    increments = np.array(bits.view(float).tolist(), dtype=object)[which]
-    # the events are filled slot by slot, bypassing PhaseEvent.__init__ per row
-    events = list(map(object.__new__, itertools.repeat(PhaseEvent, rows.size)))
-    columns = (rows["time"].tolist(), rows["cycle_index"].tolist(), increments.tolist())
-    for fill, values in zip(_SLOT_SETTERS, columns):
-        deque(map(fill, events, values), maxlen=0)
-    return events
+        del lines  # not held while the chunk's events are built
+        # a cycle's increment repeats on all its rows: one float per bit pattern
+        bits, which = np.unique(rows["increment"].view(np.int64), return_inverse=True)
+        yield rows["time"], rows["cycle_index"], np.array(bits.view(float).tolist(), dtype=object)[which]
 
 
-def _parse_lines(lines, lineno: int) -> List[PhaseEvent]:
-    """Parse ``lines`` one at a time, the first of them line ``lineno`` of the log."""
+def _parse_lines(lines) -> List[PhaseEvent]:
+    """Parse the log's ``lines`` after its header one at a time, the first of them line 2."""
     events = []
-    for lineno, line in enumerate(lines, start=lineno):
+    for lineno, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:
             continue
@@ -190,8 +160,6 @@ def _parse_lines(lines, lineno: int) -> List[PhaseEvent]:
             try:
                 values.append(convert(text))
             except ValueError:
-                raise DomainError(
-                    f"line {lineno}: {name} {_shown(text)} is not a valid {convert.__name__}"
-                ) from None
+                raise DomainError(f"line {lineno}: {name} {_shown(text)} is not a valid {convert.__name__}") from None
         events.append(PhaseEvent(*values))
     return events

@@ -27,9 +27,12 @@ bits of a one-thread pass.
 
 from __future__ import annotations
 
+import gc
+import itertools
 import math
 import os
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -52,6 +55,28 @@ class PhaseEvent:
     time: float
     cycle_index: int
     increment: float
+
+
+def _phase_events(chunks) -> List[PhaseEvent]:
+    """The PhaseEvents of the rows of ``chunks`` (arrays of times, cycle indices and increments), in order.
+
+    Each chunk's events are filled slot by slot, a column at a time, past the frozen __setattr__ as
+    PhaseEvent.__init__ fills them.  The list holds no cycles, so the collections its allocations would
+    trigger find nothing to free: cyclic garbage collection is paused while it is built.
+    """
+    events = []
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for columns in chunks:
+            chunk = list(map(object.__new__, itertools.repeat(PhaseEvent, len(columns[0]))))
+            for name, column in zip(PhaseEvent.__slots__, columns):
+                deque(map(getattr(PhaseEvent, name).__set__, chunk, column.tolist()), maxlen=0)
+            events += chunk
+    finally:
+        if collecting:
+            gc.enable()
+    return events
 
 
 @dataclass(frozen=True)
@@ -174,9 +199,8 @@ def event_arrays(seq: PhaseSequence, t0: float, t1: float):
 
 
 def events_in(seq: PhaseSequence, t0: float, t1: float) -> List[PhaseEvent]:
-    """All events with time in (t0, t1], ordered by (time, cycle_index)."""
-    times, cycles, incs = event_arrays(seq, t0, t1)
-    return list(map(PhaseEvent, times.tolist(), cycles.tolist(), incs.tolist()))
+    """All events with time in (t0, t1], ordered by (time, cycle_index), built as read_event_log builds its events."""
+    return _phase_events([event_arrays(seq, t0, t1)])
 
 
 def _exact_phases(seq: PhaseSequence, counts) -> List[float]:

@@ -426,13 +426,13 @@ def test_reader_keeps_the_bits_of_signed_zeros_and_nans(tmp_path):
     assert len({bits for _, _, bits in got}) == 4
 
 
-def test_only_refused_chunks_are_parsed_line_by_line(tmp_path, base_rows, monkeypatch):
-    chunks = []
+def test_only_refused_logs_are_parsed_line_by_line(tmp_path, base_rows, monkeypatch):
+    reads = []
 
-    def counted(lines, lineno):
+    def counted(lines):
         lines = list(lines)
-        chunks.append(len(lines))
-        return parse_lines(lines, lineno)
+        reads.append(lines)
+        return parse_lines(lines)
 
     parse_lines = eventlog._parse_lines
     monkeypatch.setattr(eventlog, "_parse_lines", counted)
@@ -446,11 +446,41 @@ def test_only_refused_chunks_are_parsed_line_by_line(tmp_path, base_rows, monkey
         warnings.simplefilter("error")
         events = read_event_log(path)
     assert [event_bits(e) for e in events] == outcome(read_event_log_by_line, path)[1]
-    assert len(events) == len(base_rows) and chunks == []
-    # a whitespace-only line sends its own chunk, and only that, line by line
-    path.write_text("\n".join([eventlog.HEADER] + base_rows[:5000] + [" \t"] + base_rows[5000:]) + "\n")
+    assert len(events) == len(base_rows) and reads == []
+    # a whitespace-only line sends the whole log, once and from its start, line by line
+    lines = [eventlog.HEADER] + base_rows[:5000] + [" \t"] + base_rows[5000:]
+    path.write_text("\n".join(lines) + "\n")
     assert outcome(read_event_log, path) == outcome(read_event_log_by_line, path)
-    assert len(chunks) == 1 and chunks[0] < len(base_rows) / 2
+    assert reads == [[line + "\n" for line in lines[1:]]]
+
+
+# The writer's rows, from its time kernel or from %.17g, are all read by np.loadtxt.
+@pytest.mark.parametrize(
+    "periods, horizon, kernel",
+    [
+        ((1.0, math.sqrt(2.0)), 20000.0, True),
+        ((0.3, math.sqrt(2.0)), 50.0, False),
+        ((1e15, math.sqrt(2.0) * 1e15), 3e16, False),
+    ],
+    ids=["kernel", "times_below_1", "times_from_1e16"],
+)
+def test_written_logs_never_reach_the_line_parser(tmp_path, monkeypatch, periods, horizon, kernel):
+    def refused(lines):
+        raise AssertionError("a written log was parsed line by line")
+
+    rendered = []
+    time_text = eventlog._time_text
+    monkeypatch.setattr(eventlog, "_time_text", lambda x: rendered.append(x) or time_text(x))
+    monkeypatch.setattr(eventlog, "_parse_lines", refused)
+    s = SurfaceSpec(1)
+    seq = PhaseSequence(s, WindingChain(s, (2, -1)), CycleAssignment(s, (0.7, 1.9), periods), horizon)
+    path = tmp_path / "events.csv"
+    write_event_log(path, seq)
+    assert bool(rendered) is kernel
+    times, cycles, incs = event_arrays(seq, 0.0, horizon)
+    assert [event_bits(e) for e in read_event_log(path)] == [
+        (float_bits(t), c, float_bits(v)) for t, c, v in zip(times.tolist(), cycles.tolist(), incs.tolist())
+    ]
 
 
 @pytest.mark.parametrize("malformed", [False, True])

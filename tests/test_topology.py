@@ -430,9 +430,17 @@ def decimal_shown(value):
     return format(Context(prec=6, Emax=MAX_EMAX).normalize(Decimal(value)), "g")
 
 
-# Ties at the sixth digit, their neighbours, carries into a seventh digit and 10**k - 1.
-EDGE_INTS = [m * 10**k + j for m in (1000005, 1000015, 1234565, 9999995) for k in (11, 400, 4990) for j in (-1, 0, 1)]
+# Ties at the sixth digit, their neighbours, values a few units of the 16th digit from a tie (where
+# the digits of the top 64 bits no longer decide the rounding), carries into a seventh digit,
+# 10**k - 1, and powers of two around the 64 bits kept.
+EDGE_INTS = [
+    m * 10**k + j
+    for m in (1000005, 1000015, 1234565, 9999995)
+    for k in (11, 400, 4990)
+    for j in (-1, 0, 1, -(10 ** (k - 9)), 10 ** (k - 9), 3 * 10 ** (k - 9), -3 * 10 ** (k - 8), 10 ** (k - 8))
+]
 EDGE_INTS += [10**17, 10**17 + 1, 10**5000 - 1, 10**5000]
+EDGE_INTS += [2**n + j for n in (57, 63, 64, 65, 16000) for j in (-1, 0, 1)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -445,6 +453,11 @@ def test_huge_ints_are_shown_as_decimal_rounds_them(value, negative):
     assert _shown(value) == decimal_shown(value)
 
 
+def test_every_edge_int_is_shown_as_decimal_rounds_it():
+    for value in EDGE_INTS:
+        assert (_shown(value), _shown(-value)) == (decimal_shown(value), decimal_shown(-value)), value
+
+
 # Decimal's conversion of a million-digit int took about 24 s; one division finds the digits shown.
 def test_a_million_digit_refusal_is_shown_in_seconds():
     env = dict(os.environ)
@@ -454,6 +467,22 @@ def test_a_million_digit_refusal_is_shown_in_seconds():
     code = "from windingphase import SurfaceSpec\ntry:\n    SurfaceSpec(-10**10**6)\nexcept ValueError as exc:\n    print(exc)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=10)
     assert proc.stdout == "genus must be >= 0, got -1e+1000000\n", proc.stderr
+
+
+# Finding the digits of a 33-million-bit int by dividing by 10**k took about 10 s; its top bits give them.
+def test_a_huge_refusal_is_shown_without_dividing_by_a_power_of_ten():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(__file__), "..", "src"), env.get("PYTHONPATH", "")) if p
+    )
+    code = (
+        "import math\nfrom windingphase import *\ns = SurfaceSpec(1)\n"
+        "assign = CycleAssignment(s, (1.0, 2.0), (1.0, math.sqrt(2.0)))\n"
+        "seq = PhaseSequence(s, WindingChain(s, (1, 1)), assign, 100.0)\n"
+        "try:\n    randomness_battery(seq, 1.0, -(1 << 33_000_000))\nexcept ValueError as exc:\n    print(exc)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=3)
+    assert proc.stdout == "n_samples must be >= 1000, got -7.19302e+9933989\n", proc.stderr
 
 
 def test_a_coefficient_with_no_float_is_refused():
