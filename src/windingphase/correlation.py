@@ -46,7 +46,7 @@ from .sequence import (
     phase_at,
 )
 from .sequence import event_arrays  # noqa: F401 -- perfbench/spans.py wraps this binding
-from .topology import _real, wrap_angle
+from .topology import _real, _reals, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ def _check_angles(theta_a, theta_b) -> Tuple[float, float]:
 
 def correlations(pair: PairConfig, settings, t: float) -> Tuple[CorrelationEstimate, ...]:
     """One correlation per (theta_a, theta_b) in ``settings``, all from one M2(t)."""
-    settings = [_check_angles(ta, tb) for ta, tb in settings]
+    settings = [_check_angles(ta, tb) for ta, tb in _reals("settings", settings, width=2).tolist()]
     t = _check_time(pair.sequence_a, t)
     m2, segments = _memo_moment(_MomentKey(pair, t))
     out = []
@@ -193,7 +193,7 @@ def residual_curve(
     horizon.  Returns (t, residual) tuples.
     """
     theta_a, theta_b = _check_angles(theta_a, theta_b)
-    hs = [_check_time(pair.sequence_a, h) for h in horizons]
+    hs = [_check_time(pair.sequence_a, h, "every horizon t") for h in _reals("horizons", horizons).tolist()]
     if not hs:
         raise DomainError("horizons must be non-empty")
     if any(b < a for a, b in zip(hs, hs[1:])):

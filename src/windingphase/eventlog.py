@@ -20,6 +20,7 @@ chunks and reads the whole log once line by line instead.
 
 from __future__ import annotations
 
+import os
 from typing import List
 
 import numpy as np
@@ -59,7 +60,7 @@ def write_event_log(path, seq: PhaseSequence, t0: float = 0.0, t1: float = None)
     suffixes[idx, 0] = ends
     cuts = _window_cuts(periods, t0, t1).tolist()
     rows = 0
-    with open(path, "wb") as fh:
+    with open(_path(path), "wb") as fh:
         fh.write(HEADER.encode() + b"\n")
         for a, b in zip(cuts[:-1], cuts[1:]):
             times, cycles, _ = event_arrays(seq, a, b)
@@ -120,7 +121,7 @@ def read_event_log(path) -> List[PhaseEvent]:
     refusal the chunks are dropped and the whole log is read once line by
     line, which gives every line's exact result or error.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(_path(path), "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != HEADER:
             raise DomainError(f"unrecognized event log header: {_shown(header)}")
@@ -131,6 +132,14 @@ def read_event_log(path) -> List[PhaseEvent]:
         fh.seek(0)
         fh.readline()
         return _parse_lines(fh)
+
+
+def _path(path):
+    """os.fspath(path), refusing as DomainError what it refuses (open() takes an int or bool as a descriptor)."""
+    try:
+        return os.fspath(path)
+    except TypeError:
+        raise DomainError(f"path must be a str, bytes or os.PathLike, got {_shown(path)}") from None
 
 
 def _chunks(fh):

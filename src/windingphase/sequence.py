@@ -18,11 +18,11 @@ e^{-i lam tau}, the Bohr mean being lam = 0.  They ask one entry point
 need.  It applies one segment kernel (``_window_terms``) window by window,
 each window holding about ``_WINDOW_EVENTS`` events and starting from the
 phase of its integer winding counts reduced exactly mod 2*pi, and folds the
-windows' rows in window order.  One scheduler (``_run_tasks``) runs its
-tasks, one per window, and the almost-period scan's shifts (one round per
-block): one thread per usable CPU, each with state of its own, takes the next
-untaken task, and the results are folded in task order, so they have the
-bits of a one-thread pass.
+windows' rows in window order.  One scheduler (``_run_tasks``) runs a list
+of tasks, the windows or one almost-period scan block's shifts, on the caller
+and threads started for the call, one per usable CPU, each with state of its
+own; every result is kept at its task's index, so they have the bits of a
+one-thread pass.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ from .topology import TWO_PI, CycleAssignment, SurfaceSpec, WindingChain, _dot_m
 # and the almost-period scan's blocks hold at most half as many, so their
 # memory does not grow with the horizon.
 _WINDOW_EVENTS = 1 << 14
+# The most float64 items one numpy array may hold: a larger count is refused, not tried.
+_MOST_FLOATS = np.iinfo(np.intp).max // 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,9 +154,7 @@ def event_count(seq: PhaseSequence, t0: float = 0.0, t1: float = None) -> int:
     """Number of events in (t0, t1] without materializing them."""
     t1 = seq.horizon if t1 is None else t1
     t0, t1 = _check_window(seq, t0, t1)
-    _, periods, _ = seq._active_arrays()
-    n0 = _completed_windings(t0, periods)
-    n1 = _completed_windings(t1, periods)
+    n0, n1 = _completed_windings([t0, t1], seq._active_arrays()[1])
     return int(np.sum(n1 - n0))
 
 
@@ -218,8 +218,7 @@ def phase_at(seq: PhaseSequence, tau: float) -> float:
     tau = _real("tau", tau)
     if tau < 0.0 or tau > seq.horizon:
         raise DomainError(f"tau must lie in [0, horizon {seq.horizon}], got {tau!r}")
-    _, periods, _ = seq._active_arrays()
-    return _exact_phases(seq, _completed_windings([tau], periods))[0]
+    return _exact_phases(seq, _completed_windings([tau], seq._active_arrays()[1]))[0]
 
 
 def _chunk_end(start: int, size: int) -> int:
@@ -398,54 +397,43 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_tasks(rounds, count: int, state, run) -> None:
-    """run(state(), *task) for every task tuple of every round (an iterable) in ``rounds``.
+def _run_tasks(tasks, state, run) -> None:
+    """run(state(), *task) for every task tuple in the list ``tasks``.
 
-    With n = min(count, usable CPUs) > 1, one pool of n - 1 threads serves
-    the whole call; ``count`` is the most tasks a round holds.  This thread
-    draws each round from ``rounds`` (which may build it then: rounds built
-    on pool threads left their arrays in those threads' malloc arenas, and
-    analyze's peak RSS read about 1.6 MiB higher), submits n - 1 copies of
-    one loop and runs another itself, then waits for the copies.  Each loop
-    calls state() and takes the next untaken task under one lock until the
-    round is empty, so a thread the OS holds back delays the others by at
-    most its task.  Once a task raises, no loop takes another, no round
-    starts, and the first error is raised again after every loop of its
-    round has ended.  The loops must call nothing that perfbench/spans.py
-    wraps: its span stack belongs to one thread.
+    The caller and n - 1 threads started for the call, n = min(len(tasks),
+    usable CPUs), each run one loop: it calls state() and takes the next
+    untaken task under one lock until none is left, so a thread the OS holds
+    back delays the others by at most its task.  Once a task raises or a
+    thread fails to start, no loop takes another, and the first error is
+    raised again once every started thread has ended.  The loops must call
+    nothing that perfbench/spans.py wraps: its span stack is one thread's.
     """
-    lock, errors = threading.Lock(), []
+    lock, errors, threads, untaken = threading.Lock(), [], [], iter(tasks)
 
-    def loop(tasks):
+    def loop():
         try:
             own = state()
             while True:
                 with lock:
-                    task = None if errors else next(tasks, None)
+                    task = None if errors else next(untaken, None)
                 if task is None:
                     return
                 run(own, *task)
-        except BaseException as error:  # raised again once every loop of the round has ended
+        except BaseException as error:  # raised again once every loop has ended
             errors.append(error)
 
-    n, pool = min(count, _usable_cpus()), None
-    if n > 1:
-        # imported here, so only a call split over several threads loads it
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(n - 1)
     try:
-        for tasks in rounds:
-            tasks = iter(tasks)
-            others = [pool.submit(loop, tasks) for _ in range(n - 1)]
-            loop(tasks)
-            for other in others:
-                other.result()
-            if errors:
-                raise errors[0]
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        for _ in range(min(len(tasks), _usable_cpus()) - 1):
+            thread = threading.Thread(target=loop)
+            thread.start()
+            threads.append(thread)
+    except BaseException as error:  # the started threads stop after their task
+        errors.append(error)
+    loop()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _window_integrals(seq: PhaseSequence, lams, ends) -> np.ndarray:
@@ -467,20 +455,20 @@ def _window_integrals(seq: PhaseSequence, lams, ends) -> np.ndarray:
     def work(buffers, j):
         rows[j + 1] = _window_terms(lams, *windows.build(j, buffers), buffers)
 
-    _run_tasks([((j,) for j in range(m))], m, windows.buffers, work)
+    _run_tasks([(j,) for j in range(m)], windows.buffers, work)
     np.cumsum(rows, axis=0, out=rows)
     return rows[np.searchsorted(windows.cuts, ends)]
 
 
-def _check_time(seq: PhaseSequence, t: float) -> float:
-    """t as a float in (0, horizon] whose reciprocal is finite.
+def _check_time(seq: PhaseSequence, t: float, name: str = "t") -> float:
+    """t as a float in (0, horizon] whose reciprocal is finite; a refusal calls it ``name``.
 
     numpy divides a complex array by a real scalar as a multiply by 1/t, so a
     t below about 5.6e-309, whose 1/t overflows, would give inf and nan.
     """
-    t = _check_window(seq, 0.0, t)[1]
-    if not math.isfinite(1.0 / t):
-        raise DomainError(f"t must be at least about 5.6e-309, where 1/t is finite, got {t!r}")
+    t = _real(name, t)
+    if not (0.0 < t <= seq.horizon and math.isfinite(1.0 / t)):
+        raise DomainError(f"{name} must be at least about 5.6e-309 (a finite 1/t) and at most {seq.horizon}, got {t!r}")
     return t
 
 
@@ -636,9 +624,9 @@ def find_almost_periods(
     chunks until it holds its rows up to its end plus the largest shift
     still scanned and drops the rows before its end once scanned, so memory
     grows with the block size and the events within ``search_bound``, not
-    with the horizon.  Each block's shifts are _run_tasks tasks, each result
-    stored at its shift's index, so the report equals a one-thread scan's; a
-    passing shift costs O(horizon).
+    with the horizon.  Each block runs its shifts in one _run_tasks call, each
+    result stored at its shift's index, so the report equals a one-thread
+    scan's; a passing shift costs O(horizon).
     """
     epsilon = _real("epsilon", epsilon, positive=True)
     sample_step = _real("sample_step", sample_step, positive=True)
@@ -648,8 +636,8 @@ def find_almost_periods(
             f"search_bound {search_bound} exceeds horizon/2 = {seq.horizon / 2.0}; "
             "the shifted window must fit inside the horizon"
         )
-    if not math.isfinite(search_bound / sample_step):
-        raise DomainError(f"sample_step {sample_step!r} is too small: search_bound / sample_step overflows")
+    if not search_bound / sample_step <= _MOST_FLOATS:
+        raise DomainError(f"sample_step {sample_step!r} is too small: search_bound / sample_step passes {_MOST_FLOATS}")
 
     window_end = seq.horizon - search_bound
     sliver = 4.0 * np.spacing(seq.horizon)
@@ -663,35 +651,7 @@ def find_almost_periods(
     # per shift, its running supremum over the blocks scanned so far
     worsts = [0.0] * len(shifts)
 
-    def blocks():
-        """One round of (block, shift index) tasks per block, for the shifts still within epsilon."""
-        chunks, alive, size = _factor_chunks(seq), list(range(len(shifts))), 64
-        # the held rows, from the block's start on
-        times, factors = np.zeros(0), np.zeros(0, dtype=complex)
-        while alive:
-            # the block runs from the first held time to the base event time
-            # ``size`` rows on, or to the window end when no more than
-            # ``size`` base event times are left
-            while times.size < size + 2 and (chunk := next(chunks, None)) is not None:
-                times, factors = np.concatenate((times, chunk[0])), np.concatenate((factors, chunk[1]))
-            base = np.searchsorted(times, window_end, side="right")
-            last = base <= size + 1
-            base_cuts = np.append(times[:base], window_end) if last else times[: size + 1]
-            # every probe tau + shift and every bracket (see scan) ends by the
-            # block's end plus the largest shift (the last alive) plus the sliver
-            reach = base_cuts[-1] + shifts[alive[-1]] + sliver
-            while times[-1] <= reach and (chunk := next(chunks, None)) is not None:
-                times, factors = np.concatenate((times, chunk[0])), np.concatenate((factors, chunk[1]))
-            chunk = None  # a chunk left bound would stay alive through the round
-            yield [((base_cuts, times[1:], factors), i) for i in alive]
-            alive = [] if last else [i for i in alive if worsts[i] <= epsilon]
-            times, factors = times[size:], factors[size:]
-            # half a window: blocks of a whole window's events page-faulted
-            # their arrays afresh (about 8x the minor faults on analyze_scan)
-            size = min(4 * size, _WINDOW_EVENTS // 2)
-
-    def scan(_, block, i):
-        base_cuts, times, factors = block
+    def scan(_, base_cuts, times, factors, i):
         shift = shifts[i]
         x0, x1 = base_cuts[0], base_cuts[-1]
         a, b = np.searchsorted(times, (x0 + shift - sliver, x1 + shift + sliver))
@@ -700,7 +660,30 @@ def find_almost_periods(
         worst = _block_discrepancy(np.concatenate((base_cuts, shifted)), shift, times, factors, sliver)
         worsts[i] = max(worsts[i], worst)
 
-    _run_tasks(blocks(), len(shifts), lambda: None, scan)
+    # the shifts still within epsilon, and the held rows from the block's start on
+    chunks, alive, size = _factor_chunks(seq), list(range(len(shifts))), 64
+    times, factors = np.zeros(0), np.zeros(0, dtype=complex)
+    while alive:
+        # the block runs from the first held time to the base event time
+        # ``size`` rows on, or to the window end when no more than ``size``
+        # base event times are left
+        while times.size < size + 2 and (chunk := next(chunks, None)) is not None:
+            times, factors = np.concatenate((times, chunk[0])), np.concatenate((factors, chunk[1]))
+        base = np.searchsorted(times, window_end, side="right")
+        last = base <= size + 1
+        base_cuts = np.append(times[:base], window_end) if last else times[: size + 1]
+        # every probe tau + shift and every bracket (see scan) ends by the
+        # block's end plus the largest shift (the last alive) plus the sliver
+        reach = base_cuts[-1] + shifts[alive[-1]] + sliver
+        while times[-1] <= reach and (chunk := next(chunks, None)) is not None:
+            times, factors = np.concatenate((times, chunk[0])), np.concatenate((factors, chunk[1]))
+        chunk = None  # a chunk left bound would stay alive through the block's tasks
+        _run_tasks([(base_cuts, times[1:], factors, i) for i in alive], lambda: None, scan)
+        alive = [] if last else [i for i in alive if worsts[i] <= epsilon]
+        times, factors = times[size:], factors[size:]
+        # half a window: blocks of a whole window's events page-faulted
+        # their arrays afresh (about 8x the minor faults on analyze_scan)
+        size = min(4 * size, _WINDOW_EVENTS // 2)
     passing = [AlmostPeriodCandidate(s, w) for s, w in zip(shifts, worsts) if w <= epsilon]
     return AlmostPeriodReport(
         epsilon=epsilon,
@@ -803,7 +786,7 @@ def randomness_battery(
     fully determines the sample times.
     """
     t = _check_time(seq, t)
-    n_samples = _integer("n_samples", n_samples, 1000)
+    n_samples = _integer("n_samples", n_samples, 1000, _MOST_FLOATS)
     seed = _integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     # the sorted times are freed once their phases are taken

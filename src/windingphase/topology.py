@@ -68,8 +68,8 @@ def _real(name: str, value, positive: bool = False) -> float:
     return x
 
 
-def _reals(name: str, values) -> np.ndarray:
-    """``values``, a real scalar or a 1-d sequence of reals, as a 1-d array of finite floats."""
+def _reals(name: str, values, width: int = 0) -> np.ndarray:
+    """``values``, a real scalar or 1-d sequence, as a 1-d array of finite floats; with ``width``, rows of that many."""
     try:
         x = np.asarray(values)
         # a float conversion would take booleans, drop imaginary parts and parse numeric strings;
@@ -80,11 +80,13 @@ def _reals(name: str, values) -> np.ndarray:
         ):
             raise TypeError
         x = np.atleast_1d(np.asarray(x, dtype=float))
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):  # a ragged sequence raises ValueError
         raise DomainError(f"{name} must be real numbers that a float can hold") from None
-    if x.ndim > 1 or not np.all(np.isfinite(x)):
-        raise DomainError(f"{name} must be a scalar or a 1-d array of finite numbers, got shape {x.shape}")
-    return x
+    # an empty sequence is no rows of any width
+    if x.shape[1:] != ((width,) if width else ()) and (x.size or not width) or not np.all(np.isfinite(x)):
+        shape = f"rows of {width}" if width else "a scalar or a 1-d array of"
+        raise DomainError(f"{name} must be {shape} finite numbers, got shape {x.shape}")
+    return x.reshape(-1, width) if width else x
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,10 @@ class WindingChain:
     coefficients: Tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(_integer(f"coefficients[{k}]", c) for k, c in enumerate(self.coefficients))
+        try:
+            coeffs = tuple(_integer(f"coefficients[{k}]", c) for k, c in enumerate(self.coefficients))
+        except TypeError:  # not iterable
+            raise DomainError(f"coefficients must be a sequence of integers, got {_shown(self.coefficients)}") from None
         object.__setattr__(self, "coefficients", coeffs)
         if len(self.coefficients) != self.surface.basis_size:
             raise DimensionError(
@@ -157,13 +162,14 @@ class CycleAssignment:
     periods: Tuple[float, ...]
 
     def __post_init__(self):
-        for name, part in (("betas", self.betas), ("periods", self.periods)):
-            if len(part) != self.surface.basis_size:
-                raise DimensionError(f"{len(part)} {name} for basis size {self.surface.basis_size}")
-        betas = (wrap_angle(_real(f"betas[{k}]", b)) for k, b in enumerate(self.betas))
-        periods = (_real(f"periods[{k}]", t, positive=True) for k, t in enumerate(self.periods))
-        object.__setattr__(self, "betas", tuple(betas))
-        object.__setattr__(self, "periods", tuple(periods))
+        betas, periods = _reals("betas", self.betas), _reals("periods", self.periods)
+        for name, part in (("betas", betas), ("periods", periods)):
+            if part.size != self.surface.basis_size:
+                raise DimensionError(f"{part.size} {name} for basis size {self.surface.basis_size}")
+        if not np.all(periods > 0.0):
+            raise DomainError(f"periods must be > 0, got {float(periods.min())!r}")
+        object.__setattr__(self, "betas", tuple(map(wrap_angle, betas.tolist())))
+        object.__setattr__(self, "periods", tuple(periods.tolist()))
 
 
 @dataclass(frozen=True)
@@ -265,11 +271,10 @@ def holonomy_loop(connection_samples: Sequence[Tuple[float, float]]) -> U1Phase:
     U1Phase
         The loop integral of the sampled connection, reduced mod 2*pi.
     """
-    pts = list(connection_samples)
-    if len(pts) < 2:
-        raise DomainError(f"need at least 2 samples, got {len(pts)}")
-    sigma = _reals("sigma", [p[0] for p in pts])
-    value = _reals("connection values", [p[1] for p in pts])
+    samples = _reals("connection samples", connection_samples, width=2)
+    if len(samples) < 2:
+        raise DomainError(f"need at least 2 samples, got {len(samples)}")
+    sigma, value = samples.T
     if sigma[0] < 0.0 or sigma[-1] > TWO_PI:
         raise DomainError("sigma values must lie in [0, 2*pi]")
     if np.any(np.diff(sigma) <= 0.0):

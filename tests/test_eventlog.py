@@ -1,9 +1,13 @@
 import dataclasses
 import gc
 import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -29,6 +33,8 @@ from windingphase import (
     wrap_angle,
 )
 from windingphase import eventlog
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROPERTY = settings(
     max_examples=150,
@@ -122,6 +128,24 @@ def test_rejects_unknown_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(DomainError):
         read_event_log(path)
+
+
+# open() takes an int or a bool as a file descriptor, which its file object
+# closes: read_event_log(True) and write_event_log(1, seq) closed stdout, and
+# the next print failed with a bad file descriptor.
+@pytest.mark.parametrize("call", ["read_event_log(True)", "write_event_log(1, seq)", "read_event_log(1.5)"])
+def test_a_path_that_is_not_a_path_is_refused_and_no_descriptor_is_closed(call):
+    script = (
+        "from windingphase import *; s = SurfaceSpec(1); "
+        "seq = PhaseSequence(s, WindingChain(s, (1, 0)), CycleAssignment(s, (0.5, 0.5), (1.0, 2.0)), 10.0)\n"
+        f"try:\n    {call}\nexcept DomainError as e:\n    print('refused:', e)\n"
+        "print('still printing')"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    refusal, last = proc.stdout.splitlines()
+    assert refusal.startswith("refused: path must be a str, bytes or os.PathLike") and last == "still printing"
 
 
 def test_rejects_malformed_row(tmp_path):

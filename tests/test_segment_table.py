@@ -6,7 +6,7 @@ import math
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from unittest import mock
 
 import numpy as np
@@ -479,10 +479,10 @@ _SCAN = (0.5, 10.0, 1.0)  # epsilon, search_bound, sample_step
 
 
 class _Scan:
-    """What one almost-period scan did: its report and, per shift, the threads and blocks."""
+    """What one almost-period scan did: its report, per shift the threads and blocks, and the most threads alive."""
 
     def __init__(self):
-        self.report, self.threads, self.blocks = None, {}, {}
+        self.report, self.threads, self.blocks, self.most_alive = None, {}, {}, 0
 
 
 def _scanned(seq, workers, gate=False):
@@ -501,6 +501,7 @@ def _scanned(seq, workers, gate=False):
             assert caller_started.wait(timeout=60.0)
         run.threads.setdefault(float(shift), set()).add(thread)
         run.blocks.setdefault(float(shift), []).append(np.unique(cuts))
+        run.most_alive = max(run.most_alive, threading.active_count())
         return evaluate(cuts, shift, *rest)
 
     with mock.patch.object(sequence, "_usable_cpus", lambda: workers), \
@@ -520,6 +521,7 @@ def _assert_same_blocks(run, one_thread):
 
 def test_almost_period_scan_is_equal_for_every_worker_count():
     seq = _scan_sequence()
+    baseline = threading.active_count()
     runs = {workers: _scanned(seq, workers, gate=True) for workers in (1, 2, 3, 4)}
     expected = runs[1].report
     # passing and failing shifts, over windows of several blocks
@@ -533,8 +535,9 @@ def test_almost_period_scan_is_equal_for_every_worker_count():
         # in the one-thread order; the caller among the scanning threads
         assert len(run.threads) == expected.scanned
         _assert_same_blocks(run, runs[1])
-        scanners = set().union(*run.threads.values())
-        assert threading.main_thread() in scanners and len(scanners) <= workers
+        # the caller scans, and at no time do more than ``workers`` threads
+        assert threading.main_thread() in set().union(*run.threads.values())
+        assert run.most_alive <= baseline + workers - 1
 
 
 def test_almost_period_scan_is_equal_under_fast_switching():
@@ -570,12 +573,12 @@ def test_capped_scan_blocks_end_at_base_event_times():
             assert len(blocks) >= np.searchsorted(times, window_end, side="right") / 64
 
 
-def test_a_one_cpu_scan_starts_no_pool_thread():
+def test_a_one_cpu_scan_starts_no_thread():
     seq = _scan_sequence()
     baseline = threading.active_count()
-    with mock.patch("concurrent.futures.ThreadPoolExecutor") as pool:
+    with mock.patch("threading.Thread", wraps=threading.Thread) as thread:
         run = _scanned(seq, 1)
-    pool.assert_not_called()
+    thread.assert_not_called()
     assert set().union(*run.threads.values()) == {threading.main_thread()}
     assert threading.active_count() == baseline
 
@@ -589,7 +592,73 @@ def test_usable_cpus_falls_back_to_the_cpu_count_without_an_affinity_call(monkey
     assert sequence._usable_cpus() == 1
 
 
-def test_a_scan_makes_one_pool_and_builds_its_table_on_the_caller():
+def _recording_threads(made, fail_at=None, before_failing=None):
+    """A threading.Thread subclass that appends each thread it starts to ``made``.
+
+    The ``fail_at``-th start (counting from 1) raises RuntimeError instead,
+    once ``before_failing`` (an Event) is set.
+    """
+
+    class Recording(threading.Thread):
+        def start(self):
+            made.append(self)
+            if len(made) == fail_at:
+                assert before_failing.wait(timeout=60.0)
+                raise RuntimeError("cannot start thread")
+            super().start()
+
+    return Recording
+
+
+@pytest.mark.parametrize("tasks, threads", [(1, 0), (3, 2), (10, 3)])
+def test_run_tasks_starts_a_thread_per_usable_cpu_past_the_caller_and_joins_them(tasks, threads):
+    made, done, baseline = [], [], threading.active_count()
+    with mock.patch.object(sequence, "_usable_cpus", lambda: 4), \
+            mock.patch.object(threading, "Thread", _recording_threads(made)):
+        sequence._run_tasks([(j,) for j in range(tasks)], lambda: None, lambda _, j: done.append(j))
+    assert sorted(done) == list(range(tasks))
+    assert len(made) == threads
+    assert not any(thread.is_alive() for thread in made)
+    assert threading.active_count() == baseline
+
+
+def test_a_thread_that_fails_to_start_is_raised_after_the_started_thread_is_joined():
+    made, lock, running, taken = [], threading.Lock(), [0], []
+    busy, failed = threading.Event(), threading.Event()
+
+    def task(_, j):
+        with lock:
+            running[0] += 1
+            taken.append(j)
+        busy.set()
+        # still running when the second start fails, and for a while after
+        assert failed.wait(timeout=60.0)
+        time.sleep(0.05)
+        with lock:
+            running[0] -= 1
+
+    class Failing(_recording_threads(made, 2, busy)):
+        def start(self):
+            try:
+                super().start()
+            except RuntimeError:
+                failed.set()
+                raise
+
+    baseline = threading.active_count()
+    with mock.patch.object(sequence, "_usable_cpus", lambda: 4), \
+            mock.patch.object(threading, "Thread", Failing):
+        with pytest.raises(RuntimeError, match="cannot start thread"):
+            sequence._run_tasks([(j,) for j in range(10)], lambda: None, task)
+    assert len(made) == 2 and not made[0].is_alive()
+    assert threading.active_count() == baseline
+    # the first thread ended its one task before the error came back, and no task started since
+    assert running == [0] and len(taken) == 1
+    time.sleep(0.05)
+    assert len(taken) == 1
+
+
+def test_a_scan_builds_its_table_on_the_caller():
     seq = _scan_sequence()
     calls = []
 
@@ -602,12 +671,10 @@ def test_a_scan_makes_one_pool_and_builds_its_table_on_the_caller():
 
     with mock.patch.object(sequence, "_WINDOW_EVENTS", 64), \
             mock.patch.object(sequence, "event_arrays", recording("event_arrays", sequence.event_arrays)), \
-            mock.patch.object(sequence, "phase_at_many", recording("phase_at_many", sequence.phase_at_many)), \
-            mock.patch("concurrent.futures.ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pool:
+            mock.patch.object(sequence, "phase_at_many", recording("phase_at_many", sequence.phase_at_many)):
         run = _scanned(seq, 4)
-    # many rounds, one pool for all of them, every table call on the caller
+    # many blocks, every table call on the caller
     assert max(len(blocks) for blocks in run.blocks.values()) > 3
-    pool.assert_called_once_with(3)
     assert {name for name, _ in calls} == {"event_arrays", "phase_at_many"}
     assert {thread for _, thread in calls} == {threading.main_thread()}
 

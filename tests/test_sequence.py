@@ -1,5 +1,7 @@
 import cmath
+import inspect
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import fourier_spectrum_exact, phase_fraction
+from test_cli_outputs import HOSTILE
 from windingphase import (
     AlmostPeriodReport,
     CycleAssignment,
@@ -16,8 +19,15 @@ from windingphase import (
     PairConfig,
     PhaseSequence,
     SurfaceSpec,
+    U1Phase,
     WindingChain,
+    WindingPhaseError,
     bohr_mean,
+    certify_incommensurable,
+    chsh,
+    correlation,
+    correlations,
+    event_arrays,
     event_count,
     events_in,
     find_almost_periods,
@@ -28,6 +38,7 @@ from windingphase import (
     phase_at,
     phase_at_many,
     randomness_battery,
+    relative_phase,
     residual_curve,
     score_phase_samples,
     sequence,
@@ -259,6 +270,64 @@ def test_array_arguments_that_are_not_reals_are_refused(entry, values):
     seq = make_seq(1, (1, 0), (0.7, 0.3), (1.0, 5.0), 100.0)
     with pytest.raises(DomainError):
         ARRAY_ENTRY_POINTS[entry](seq, values)
+
+
+# The library twin of the CLI's hostile-config property: every public function
+# with numeric or sequence arguments, called on a genus-1 pair at horizon 200
+# with arguments from that property's pool (plus a few shapes: short and
+# 3-long tuples, one-element lists and float arrays), returns or raises a
+# WindingPhaseError whose message is at most 200 characters.  Integers in the
+# pool are below 1000 or past np.iinfo(np.intp).max // 8, so no admitted
+# sample count or shift count allocates much.
+_SURFACE = SurfaceSpec(1)
+_ASSIGN = CycleAssignment(_SURFACE, (0.7, 0.3), (1.0, math.sqrt(2.0)))
+_SEQ = PhaseSequence(_SURFACE, WindingChain(_SURFACE, (1, -1)), _ASSIGN, 200.0)
+_PAIR = PairConfig(_SEQ, PhaseSequence(_SURFACE, WindingChain(_SURFACE, (0, 1)), _ASSIGN, 200.0))
+LIBRARY_CALLS = {
+    "SurfaceSpec": SurfaceSpec,
+    "WindingChain": lambda coefficients: WindingChain(_SURFACE, coefficients),
+    "CycleAssignment": lambda betas, periods: CycleAssignment(_SURFACE, betas, periods),
+    "U1Phase": U1Phase,
+    "holonomy_loop": holonomy_loop,
+    "certify_incommensurable": lambda depth, tolerance: certify_incommensurable(_ASSIGN, depth, tolerance),
+    "PhaseSequence": lambda horizon: PhaseSequence(_SURFACE, _SEQ.chain, _ASSIGN, horizon),
+    "phase_at": lambda tau: phase_at(_SEQ, tau),
+    "phase_at_many": lambda taus: phase_at_many(_SEQ, taus),
+    "event_count": lambda t0, t1: event_count(_SEQ, t0, t1),
+    "event_arrays": lambda t0, t1: event_arrays(_SEQ, t0, t1),
+    "events_in": lambda t0, t1: events_in(_SEQ, t0, t1),
+    "write_event_log": lambda t0, t1: write_event_log(os.devnull, _SEQ, t0, t1),
+    "bohr_mean": lambda t: bohr_mean(_SEQ, t),
+    "fourier_spectrum": lambda lams, t: fourier_spectrum(_SEQ, lams, t),
+    "fourier_bohr_coefficient": lambda lam, t: fourier_bohr_coefficient(_SEQ, lam, t),
+    "find_almost_periods": lambda eps, bound, step: find_almost_periods(_SEQ, eps, bound, step),
+    "randomness_battery": lambda t, n, seed: randomness_battery(_SEQ, t, n, seed),
+    "score_phase_samples": score_phase_samples,
+    "relative_phase": lambda tau: relative_phase(_PAIR, tau),
+    "correlation": lambda theta_a, theta_b, t: correlation(_PAIR, theta_a, theta_b, t),
+    "correlations": lambda angle_pairs, t: correlations(_PAIR, angle_pairs, t),
+    "residual_curve": lambda theta_a, theta_b, horizons: residual_curve(_PAIR, theta_a, theta_b, horizons),
+    "chsh": lambda a1, a2, b1, b2, t: chsh(_PAIR, a1, a2, b1, b2, t),
+}
+_SCALARS = st.sampled_from(HOSTILE + (2**62, 0.5, 2.0, 100.0))
+_SHAPES = st.sampled_from([(0.1,), [1.0]]) | st.tuples(_SCALARS, _SCALARS, _SCALARS) | st.tuples(_SCALARS, _SCALARS)
+_ARGUMENTS = (
+    _SCALARS
+    | _SHAPES
+    | st.lists(_SCALARS | _SHAPES, max_size=4)
+    | st.lists(st.sampled_from([0.0, 1.0, 0.5, math.nan]), max_size=4).map(np.array)
+)
+
+
+@settings(max_examples=200, deadline=10000, derandomize=True)
+@given(name=st.sampled_from(sorted(LIBRARY_CALLS)), data=st.data())
+def test_hostile_library_arguments_give_a_result_or_a_short_refusal(name, data):
+    call = LIBRARY_CALLS[name]
+    args = [data.draw(_ARGUMENTS) for _ in inspect.signature(call).parameters]
+    try:
+        call(*args)
+    except WindingPhaseError as error:
+        assert len(str(error)) <= 200, str(error)
 
 
 class TestPhaseAt:
