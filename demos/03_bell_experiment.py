@@ -4,8 +4,9 @@ Two particles carry phase sequences whose winding content was exchanged:
 particle a winds the first basis cycle, particle b the second, both driven by
 the same incommensurable cycle assignment.  Detector responses correlate
 through the relative phase only; as the horizon grows the correlation
-converges to cos(theta_a + theta_b), whose CHSH combination reaches
-2*sqrt(2) > 2.
+converges to cos(theta_a + theta_b).  At the canonical CHSH angles the four
+residuals cancel, so S = 2*sqrt(2) > 2 at every horizon while each
+correlation still moves with it.
 """
 
 import math
@@ -67,13 +68,14 @@ ctrl_curve = residual_curve(control, 0.0, 0.0, [100.0, 1000.0, 10000.0])
 print("commensurable control residual:", "  ".join(f"{t:g}: {r:+.4f}" for t, r in ctrl_curve))
 
 # --- CHSH ----------------------------------------------------------------------
-# Canonical violating settings for the cos(theta_a + theta_b) kernel.
+# Canonical violating settings for the cos(theta_a + theta_b) kernel: their
+# four e^{i(theta_a - theta_b)}, with the CHSH signs, sum to zero.
 a1, a2, b1, b2 = 0.0, math.pi / 2, 7 * math.pi / 4, math.pi / 4
 result = chsh(pair, a1, a2, b1, b2, t=10000.0)
 print("\nCHSH at t = 10000:")
 for est in result.estimates:
     print(f"  E({est.theta_a:.4f}, {est.theta_b:.4f}) = {est.value:+.6f}")
-print(f"  S = {result.s:.6f}   (classical bound 2, kernel maximum 2*sqrt(2) = {2 * math.sqrt(2):.6f})")
+print(f"  S = {result.s:.6f}   (classical bound 2; the residuals cancel, so S = 2*sqrt(2) = {2 * math.sqrt(2):.6f})")
 
 # Degenerate control: with no phase motion at all (genus 0), all-zero settings
 # saturate every detector and S hits the deterministic bound 4.

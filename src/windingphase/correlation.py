@@ -13,18 +13,12 @@ where M2(t) = (1/t) * integral_0^t e^{2 i gamma} is summed exactly over the
 constant segments of gamma.  The second term, the residual, vanishes as t
 grows whenever 2*gamma equidistributes mod 2*pi.
 
-M2 and the segment count are the costly quantities and do not depend on the
-angles, so ``correlation``, ``correlations`` and ``chsh`` read them from a
-bounded memo (least recently used, 256 entries).  An entry is keyed on the
-exact bits of the pair and t: both chains' integer coefficients, the
-``float.hex`` of every beta, period and of t, and ``sequence._WINDOW_EVENTS``
-(the window size, which sets where the sum is cut).  It holds (M2, segment
-count), so a hit builds no sequence and counts no event.  A settings sweep at
-one (pair, t) therefore sums the windows once, and every result has the bits
-of a fresh ``bohr_mean``.  ``residual_curve`` asks for its horizons as the
-ends of one pass.  Both read the lam = 0 integrals at their ends from the one
-entry point ``sequence._window_integrals``, summed on every usable CPU with
-the bits of a one-thread pass.
+M2 and the segment count do not depend on the angles, so ``correlation``,
+``correlations`` and ``chsh`` read them from a memo keyed on the 256 most
+recently used (pair, t, window size); a hit builds no sequence and counts no
+event.  ``residual_curve`` asks for its horizons as the ends of one pass.
+Both read the lam = 0 integrals at their ends from
+``sequence._window_integrals``.
 """
 
 from __future__ import annotations
@@ -113,39 +107,9 @@ def _doubled(seq: PhaseSequence) -> PhaseSequence:
     return replace(seq, chain=seq.chain + seq.chain)
 
 
-class _MomentKey:
-    """A checked (pair, t) that hashes and compares by the bits M2 and the segment count come from.
-
-    Equal keys have equal chains, equal float bit patterns and the same
-    window size, so bohr_mean and event_count return the same results for
-    both; a -0.0 and a 0.0 beta make different keys.
-    """
-
-    __slots__ = ("pair", "t", "bits")
-
-    def __init__(self, pair: PairConfig, t: float):
-        a, b = pair.sequence_a, pair.sequence_b
-        self.pair, self.t = pair, t
-        self.bits = (
-            a.chain.coefficients,
-            b.chain.coefficients,
-            tuple(map(float.hex, a.assignment.betas)),
-            tuple(map(float.hex, a.assignment.periods)),
-            t.hex(),
-            sequence._WINDOW_EVENTS,
-        )
-
-    def __hash__(self):
-        return hash(self.bits)
-
-    def __eq__(self, other):
-        return self.bits == other.bits
-
-
 @functools.lru_cache(maxsize=256)
-def _memo_moment(key: _MomentKey) -> Tuple[complex, int]:
-    """(M2(t), segment count) of the key's pair."""
-    pair, t = key.pair, key.t
+def _memo_moment(pair: PairConfig, t: float, window_events: int) -> Tuple[complex, int]:
+    """(M2(t), segment count) of the pair; ``window_events`` keys the entry on the window size."""
     segments = event_count(pair.sequence_a, 0.0, t) + event_count(pair.sequence_b, 0.0, t) + 1
     return bohr_mean(_doubled(pair.difference), t), segments
 
@@ -162,7 +126,7 @@ def correlations(pair: PairConfig, settings, t: float) -> Tuple[CorrelationEstim
     """One correlation per (theta_a, theta_b) in ``settings``, all from one M2(t)."""
     settings = [_check_angles(ta, tb) for ta, tb in _reals("settings", settings, width=2).tolist()]
     t = _check_time(pair.sequence_a, t)
-    m2, segments = _memo_moment(_MomentKey(pair, t))
+    m2, segments = _memo_moment(pair, t, sequence._WINDOW_EVENTS)
     out = []
     for ta, tb in settings:
         residual = (cmath.exp(1j * (ta - tb)) * m2).real
@@ -208,9 +172,11 @@ class ChshResult:
     """Four correlations at shared horizon plus the CHSH combination.
 
     ``estimates`` holds E(a1,b1), E(a1,b2), E(a2,b1), E(a2,b2) in that order;
-    S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2).  |S| <= 4 always; the
-    classical local bound is 2 and the cos(theta_a + theta_b) kernel tops out
-    at 2*sqrt(2).
+    S = E(a1,b1) + E(a1,b2) + E(a2,b1) - E(a2,b2).  |S| <= 4 always and the
+    classical local bound is 2.  At the canonical angles (0, pi/2, 7pi/4,
+    pi/4) the four e^{i(theta_a - theta_b)}, with those signs, sum to zero,
+    so the residuals cancel and S = 2*sqrt(2) at every t; the finite-t
+    physics is in each estimate's residual, at most |M2(t)|.
     """
 
     a1: float

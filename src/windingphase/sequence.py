@@ -46,8 +46,9 @@ from .topology import TWO_PI, CycleAssignment, SurfaceSpec, WindingChain, _dot_m
 # and the almost-period scan's blocks hold at most half as many, so their
 # memory does not grow with the horizon.
 _WINDOW_EVENTS = 1 << 14
-# The most float64 items one numpy array may hold: a larger count is refused, not tried.
-_MOST_FLOATS = np.iinfo(np.intp).max // 8
+# The most float64 items one array may hold: 2**44 fill 2**47 bytes, x86-64's
+# 128 TiB user address space.  A larger count is refused, not tried.
+_MOST_FLOATS = 2**44
 
 
 @dataclass(frozen=True, slots=True)
@@ -636,8 +637,6 @@ def find_almost_periods(
             f"search_bound {search_bound} exceeds horizon/2 = {seq.horizon / 2.0}; "
             "the shifted window must fit inside the horizon"
         )
-    if not search_bound / sample_step <= _MOST_FLOATS:
-        raise DomainError(f"sample_step {sample_step!r} is too small: search_bound / sample_step passes {_MOST_FLOATS}")
 
     window_end = seq.horizon - search_bound
     sliver = 4.0 * np.spacing(seq.horizon)
@@ -645,6 +644,11 @@ def find_almost_periods(
     periods = seq._active_arrays()[1]
     _completed_windings(seq.horizon, periods)  # refuses a count past 2**63 before the lattice
     pitches = [sample_step, *periods.tolist()]
+    if not search_bound / min(pitches) <= _MOST_FLOATS:
+        raise DomainError(
+            f"search_bound / the smallest pitch {min(pitches)!r} of sample_step and the active periods "
+            f"passes {_MOST_FLOATS} shifts"
+        )
     grids = [np.arange(1, math.floor(search_bound / T) + 1) * T for T in pitches]
     shifts = np.unique(np.concatenate(grids))
     shifts = shifts[shifts <= search_bound].tolist()

@@ -82,6 +82,8 @@ def _reals(name: str, values, width: int = 0) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
     except (TypeError, ValueError, OverflowError):  # a ragged sequence raises ValueError
         raise DomainError(f"{name} must be real numbers that a float can hold") from None
+    if items.dtype.kind == "O" and any(v is None for v in items.flat):  # the float conversion made it nan
+        raise DomainError(f"{name} must be real numbers, got None")
     # an empty sequence is no rows of any width
     if x.shape[1:] != ((width,) if width else ()) and (x.size or not width) or not np.all(np.isfinite(x)):
         shape = f"rows of {width}" if width else "a scalar or a 1-d array of"

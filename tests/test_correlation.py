@@ -291,6 +291,18 @@ class TestChsh:
         )
         assert s_limit == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
 
+    def test_canonical_angles_cancel_the_residuals_at_every_horizon(self):
+        # the four e^{i(theta_a - theta_b)}, with the CHSH signs, sum to zero:
+        # S stays at 2*sqrt(2) while each E keeps a residual of up to |M2(t)|
+        betas = (TWO_PI * (PHI % 1.0), TWO_PI * (math.sqrt(3.0) % 1.0))  # the canonical pair's
+        pair = make_pair(1, (1, 0), (0, 1), betas, (1.0, math.sqrt(2.0)), 1e5)
+        limit = 2.0 * math.sqrt(2.0)
+        for t in (5.0, 50.0, 1e3, 1e5):
+            result = chsh(pair, 0.0, math.pi / 2.0, 7.0 * math.pi / 4.0, math.pi / 4.0, t)
+            assert abs(result.s - limit) <= 2.0 * math.ulp(limit), t
+            if t == 5.0:
+                assert max(abs(e.value - math.cos(e.theta_a + e.theta_b)) for e in result.estimates) > 0.1
+
     def test_kernel_limit_is_maximum_on_coarse_grid(self):
         # sanity scan: no four-angle combination on a coarse grid beats
         # 2*sqrt(2) for the cos(theta_a + theta_b) kernel
@@ -389,6 +401,36 @@ def test_memoised_moment_is_bit_identical_to_a_fresh_sum(data, pair, window_even
     assert hex_pair(resized.value, resized.residual) == want
 
 
+@st.composite
+def zero_beta_twins(draw):
+    """A genus 1-2 pair with a zero beta, and its twin with every zero beta's sign flipped."""
+    genus = draw(st.integers(1, 2))
+    n = 2 * genus
+    zero = draw(st.sampled_from([0.0, -0.0]))
+    beta = st.sampled_from([0.0, -0.0]) | st.floats(0.0, TWO_PI, exclude_max=True)
+    betas = draw(st.lists(beta, min_size=n - 1, max_size=n - 1))
+    betas.insert(draw(st.integers(0, n - 1)), zero)
+    coefficients = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    chains = draw(coefficients), draw(coefficients)
+    periods = draw(st.lists(st.floats(0.3, 3.0), min_size=n, max_size=n))
+    horizon = draw(st.floats(10.0, 120.0))
+    flipped = [-b if b == 0.0 else b for b in betas]
+    return tuple(make_pair(genus, *chains, b, periods, horizon) for b in (betas, flipped))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(twins=zero_beta_twins(), data=st.data())
+def test_a_signed_zero_twin_reads_an_entry_with_the_bits_of_its_own_sum(twins, data):
+    first, twin = twins
+    t = data.draw(st.floats(0.5, first.horizon))
+    corr._memo_moment.cache_clear()
+    correlation(first, 0.3, -1.1, t)
+    est = correlation(twin, 0.3, -1.1, t)
+    assert corr._memo_moment.cache_info()[:2] == (1, 1)  # (hits, misses)
+    want = expected_estimate(twin, 0.3, -1.1, t, fresh_moment(twin, t))
+    assert hex_pair(est.value, est.residual) == hex_pair(*want)
+
+
 class TestMomentMemo:
     @pytest.fixture
     def sums(self, monkeypatch):
@@ -424,11 +466,16 @@ class TestMomentMemo:
         correlation(pair(), 0.1, 0.2, 60.0)  # another t
         correlation(pair(periods=(1.0, math.sqrt(3.0))), 0.1, 0.2, 50.0)  # another period
         correlation(pair(betas=(0.0, 2.0)), 0.1, 0.2, 50.0)
-        correlation(pair(betas=(-0.0, 2.0)), 0.1, 0.2, 50.0)  # only the sign of a zero differs
+        # only the sign of a zero differs: the twin reads the entry, whose bits are its own
+        twin = pair(betas=(-0.0, 2.0))
+        est = correlation(twin, 0.1, 0.2, 50.0)
+        assert len(sums) == 4
+        m2 = sequence.bohr_mean(corr._doubled(twin.difference), 50.0)
+        assert hex_pair(est.value, est.residual) == hex_pair(*expected_estimate(twin, 0.1, 0.2, 50.0, m2))
         monkeypatch.setattr(sequence, "_WINDOW_EVENTS", 7)
         correlation(pair(), 0.1, 0.2, 50.0)  # another window size
-        assert len(sums) == 6
-        assert corr._memo_moment.cache_info().currsize == 6
+        assert len(sums) == 5
+        assert corr._memo_moment.cache_info().currsize == 5
 
     def test_a_hit_builds_no_sequence_and_counts_no_event(self, monkeypatch, canonical_pair, sums):
         built, counted = [], []

@@ -573,6 +573,16 @@ def test_capped_scan_blocks_end_at_base_event_times():
             assert len(blocks) >= np.searchsorted(times, window_end, side="right") / 64
 
 
+@pytest.mark.parametrize("search_bound", [10.0, 200.0])
+def test_a_scan_whose_shifts_reach_past_the_held_rows_pulls_more_chunks(search_bound):
+    # 16-event windows: a block's end plus the largest shift passes the rows it first pulled
+    seq = _scan_sequence(2000.0)
+    scan = (0.5, search_bound, 1.0)
+    with mock.patch.object(sequence, "_WINDOW_EVENTS", 16):
+        report = find_almost_periods(seq, *scan)
+    assert report == almost_periods_whole_window(seq, *scan)
+
+
 def test_a_one_cpu_scan_starts_no_thread():
     seq = _scan_sequence()
     baseline = threading.active_count()

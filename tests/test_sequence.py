@@ -3,10 +3,11 @@ import inspect
 import math
 import os
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import fourier_spectrum_exact, phase_fraction
@@ -237,6 +238,27 @@ def test_almost_period_scan_refuses_a_count_past_two_to_the_63_before_its_lattic
         find_almost_periods(tiny, 0.3, 10.0, 1.0)
 
 
+def test_almost_period_scan_refuses_a_period_lattice_past_its_float_bound():
+    # the winding counts stay below 2**63, but period 1's multiples up to 4e18 fit no array
+    seq = make_seq(1, (1, 1), (0.7, 0.3), (1.0, 2.0), 8e18)
+    with pytest.raises(DomainError, match=r"smallest pitch 1\.0 "):
+        find_almost_periods(seq, 0.5, 4e18, 1e10)
+
+
+def test_almost_period_scan_refuses_a_grid_past_the_address_space():
+    # 1e17 shifts would take 711 PiB
+    seq = make_seq(1, (1, -1), (0.7, 0.3), (1.0, math.sqrt(2.0)), 200.0)
+    with pytest.raises(DomainError, match="smallest pitch 1e-15"):
+        find_almost_periods(seq, 0.5, 100.0, 1e-15)
+
+
+def test_randomness_battery_refuses_a_sample_count_past_the_address_space():
+    # 2**58 samples would take 2 EiB
+    seq = make_seq(1, (1, -1), (0.7, 0.3), (1.0, math.sqrt(2.0)), 200.0)
+    with pytest.raises(DomainError, match="n_samples must be <= 17592186044416"):
+        randomness_battery(seq, 10.0, 2**58)
+
+
 def test_sequence_parts_must_live_on_its_surface():
     s1, s2 = SurfaceSpec(1), SurfaceSpec(2)
     assign = CycleAssignment(s1, (0.5, 0.5), (1.0, 2.0))
@@ -277,7 +299,7 @@ def test_array_arguments_that_are_not_reals_are_refused(entry, values):
 # with arguments from that property's pool (plus a few shapes: short and
 # 3-long tuples, one-element lists and float arrays), returns or raises a
 # WindingPhaseError whose message is at most 200 characters.  Integers in the
-# pool are below 1000 or past np.iinfo(np.intp).max // 8, so no admitted
+# pool are below 1000 or past sequence._MOST_FLOATS = 2**44, so no admitted
 # sample count or shift count allocates much.
 _SURFACE = SurfaceSpec(1)
 _ASSIGN = CycleAssignment(_SURFACE, (0.7, 0.3), (1.0, math.sqrt(2.0)))
@@ -321,6 +343,7 @@ _ARGUMENTS = (
 
 @settings(max_examples=200, deadline=10000, derandomize=True)
 @given(name=st.sampled_from(sorted(LIBRARY_CALLS)), data=st.data())
+@example(name="WindingChain", data=SimpleNamespace(draw=lambda strategy: 1))  # not iterable
 def test_hostile_library_arguments_give_a_result_or_a_short_refusal(name, data):
     call = LIBRARY_CALLS[name]
     args = [data.draw(_ARGUMENTS) for _ in inspect.signature(call).parameters]
@@ -328,6 +351,20 @@ def test_hostile_library_arguments_give_a_result_or_a_short_refusal(name, data):
         call(*args)
     except WindingPhaseError as error:
         assert len(str(error)) <= 200, str(error)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: residual_curve(_PAIR, 0.0, 0.0, None),
+        lambda: phase_at_many(_SEQ, None),
+        lambda: phase_at_many(_SEQ, [1.0, None]),
+    ],
+    ids=["residual_curve", "phase_at_many", "phase_at_many_element"],
+)
+def test_none_is_refused_by_name(call):
+    with pytest.raises(DomainError, match="got None$"):
+        call()
 
 
 class TestPhaseAt:

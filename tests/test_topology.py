@@ -86,6 +86,8 @@ class TestWindingChain:
             WindingChain(s, (1.0, 2))
         with pytest.raises(DomainError):
             WindingChain(s, (True, 0))
+        with pytest.raises(DomainError, match="must be a sequence of integers"):
+            WindingChain(s, 1j)  # not iterable
         # numpy integers are fine and normalize to python ints
         c = WindingChain(s, tuple(np.array([4, -2], dtype=np.int64)))
         assert c.coefficients == (4, -2)
