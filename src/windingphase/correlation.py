@@ -13,12 +13,14 @@ where M2(t) = (1/t) * integral_0^t e^{2 i gamma} is summed exactly over the
 constant segments of gamma.  The second term, the residual, vanishes as t
 grows whenever 2*gamma equidistributes mod 2*pi.
 
-M2 and the segment count do not depend on the angles, so ``correlation``,
-``correlations`` and ``chsh`` read them from a memo keyed on the 256 most
-recently used (pair, t, window size); a hit builds no sequence and counts no
-event.  ``residual_curve`` asks for its horizons as the ends of one pass.
-Both read the lam = 0 integrals at their ends from
-``sequence._window_integrals``.
+M2 does not depend on the angles, so every pair reduction reads it from
+one memo of the 256 most recently used (pair, ends, window size): the lam = 0
+integrals of e^{2 i gamma} over [0, end] for each of the ascending ends, one
+complex per end from one ``sequence._window_integrals`` pass, and the segment
+count at the last end.  ``correlation``, ``correlations`` and ``chsh`` ask for
+the ends (t,), ``residual_curve`` for its horizons, so the residual curves of
+any detector settings over one horizon ladder share an entry.  The angles
+never enter the memo; a hit builds no sequence and counts no event.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from . import sequence
 from .errors import DimensionError, DomainError
 from .sequence import (
     PhaseSequence,
     _check_time,
     _window_integrals,
-    bohr_mean,
     event_count,
     phase_at,
 )
@@ -108,10 +111,16 @@ def _doubled(seq: PhaseSequence) -> PhaseSequence:
 
 
 @functools.lru_cache(maxsize=256)
-def _memo_moment(pair: PairConfig, t: float, window_events: int) -> Tuple[complex, int]:
-    """(M2(t), segment count) of the pair; ``window_events`` keys the entry on the window size."""
+def _memo_moment(pair: PairConfig, ends: Tuple[float, ...], window_events: int) -> Tuple[np.ndarray, int]:
+    """(read-only integral of e^{2 i gamma} over [0, end] per end, segment count at ends[-1]).
+
+    ``window_events`` keys the entry on the window size.
+    """
+    t = ends[-1]
     segments = event_count(pair.sequence_a, 0.0, t) + event_count(pair.sequence_b, 0.0, t) + 1
-    return bohr_mean(_doubled(pair.difference), t), segments
+    integrals = _window_integrals(_doubled(pair.difference), (0.0,), ends)[:, 0]
+    integrals.flags.writeable = False
+    return integrals, segments
 
 
 def _check_angles(theta_a, theta_b) -> Tuple[float, float]:
@@ -126,7 +135,10 @@ def correlations(pair: PairConfig, settings, t: float) -> Tuple[CorrelationEstim
     """One correlation per (theta_a, theta_b) in ``settings``, all from one M2(t)."""
     settings = [_check_angles(ta, tb) for ta, tb in _reals("settings", settings, width=2).tolist()]
     t = _check_time(pair.sequence_a, t)
-    m2, segments = _memo_moment(pair, t, sequence._WINDOW_EVENTS)
+    if not settings:
+        return ()
+    integrals, segments = _memo_moment(pair, (t,), sequence._WINDOW_EVENTS)
+    m2 = complex((integrals / t)[0])  # numpy's array division: the bits of sequence.bohr_mean
     out = []
     for ta, tb in settings:
         residual = (cmath.exp(1j * (ta - tb)) * m2).real
@@ -151,10 +163,12 @@ def correlation(
 def residual_curve(
     pair: PairConfig, theta_a: float, theta_b: float, horizons: Sequence[float]
 ) -> List[Tuple[float, float]]:
-    """Residual of the correlation at each horizon, in one pass over M2's windows.
+    """Residual of the correlation at each horizon, from one pass over M2's windows.
 
     ``horizons`` must be sorted ascending, positive, and within the pair's
-    horizon.  Returns (t, residual) tuples.
+    horizon.  Returns (t, residual) tuples.  The integrals come from the memo
+    keyed on (pair, horizons, window size), which the angles never enter, so
+    the curves of every detector setting over one ladder share one pass.
     """
     theta_a, theta_b = _check_angles(theta_a, theta_b)
     hs = [_check_time(pair.sequence_a, h, "every horizon t") for h in _reals("horizons", horizons).tolist()]
@@ -163,7 +177,7 @@ def residual_curve(
     if any(b < a for a, b in zip(hs, hs[1:])):
         raise DomainError("horizons must be sorted ascending")
     rotation = cmath.exp(1j * (theta_a - theta_b))
-    integrals = _window_integrals(_doubled(pair.difference), (0.0,), hs)[:, 0]
+    integrals, _ = _memo_moment(pair, tuple(hs), sequence._WINDOW_EVENTS)
     return [(h, (rotation * complex(i_h)).real / h) for h, i_h in zip(hs, integrals)]
 
 

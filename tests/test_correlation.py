@@ -338,7 +338,7 @@ class TestChsh:
 
 def fresh_moment(pair, t):
     """M2(t) summed now, outside the memo."""
-    return corr.bohr_mean(corr._doubled(pair.difference), t)
+    return sequence.bohr_mean(corr._doubled(pair.difference), t)
 
 
 def expected_estimate(pair, ta, tb, t, m2):
@@ -434,16 +434,16 @@ def test_a_signed_zero_twin_reads_an_entry_with_the_bits_of_its_own_sum(twins, d
 class TestMomentMemo:
     @pytest.fixture
     def sums(self, monkeypatch):
-        """Count the windowed sums the correlation module starts."""
+        """Count the windowed sums the correlation module starts, by their ends."""
         calls = []
-        real = corr.bohr_mean
+        real = corr._window_integrals
 
-        def counted(seq, t):
-            calls.append(t)
-            return real(seq, t)
+        def counted(seq, lams, ends):
+            calls.append(tuple(ends))
+            return real(seq, lams, ends)
 
         corr._memo_moment.cache_clear()
-        monkeypatch.setattr(corr, "bohr_mean", counted)
+        monkeypatch.setattr(corr, "_window_integrals", counted)
         yield calls
         corr._memo_moment.cache_clear()
 
@@ -453,7 +453,7 @@ class TestMomentMemo:
             for tb in angles:
                 correlation(canonical_pair, ta, tb, 1500.0)
         chsh(canonical_pair, 0.0, math.pi / 2.0, 7.0 * math.pi / 4.0, math.pi / 4.0, 1500.0)
-        assert sums == [1500.0]
+        assert sums == [(1500.0,)]
         assert corr._memo_moment.cache_info()[2:] == (256, 1)  # (maxsize, currsize)
 
     def test_each_input_bit_makes_its_own_entry(self, monkeypatch, sums):
@@ -493,12 +493,17 @@ class TestMomentMemo:
         monkeypatch.setattr(corr, "event_count", counting_event_count)
         cold = correlation(canonical_pair, 0.1, 0.2, 1500.0)
         assert built and len(counted) == 2
+        built.clear()
+        cold_curve = residual_curve(canonical_pair, 0.1, 0.2, [100.0, 1500.0])
+        assert built and len(counted) == 4
         built.clear(), counted.clear()
         warm = [correlation(canonical_pair, 0.1, 0.2, 1500.0)]
         warm += corr.correlations(canonical_pair, [(0.1, 0.2), (0.5, -0.3)], 1500.0)
         warm += chsh(canonical_pair, 0.1, 0.5, 0.2, -0.3, 1500.0).estimates
+        warm_curves = [residual_curve(canonical_pair, ta, tb, [100.0, 1500.0]) for ta, tb in ((0.1, 0.2), (-0.7, 2.5))]
         assert (built, counted) == ([], [])
-        assert sums == [1500.0]
+        assert sums == [(1500.0,), (100.0, 1500.0)]
+        assert warm_curves[0] == cold_curve
         assert warm[0] == warm[1] == warm[3] == cold
         assert {e.segment_count for e in warm} == {cold.segment_count}
 
@@ -531,6 +536,18 @@ class TestMomentMemo:
                 correlation(canonical_pair, 0.0, 0.0, t)
             with pytest.raises(DomainError):
                 chsh(canonical_pair, 0.0, 0.0, 0.0, 0.0, t)
+        refused_curves = (
+            (0.0, [100.0, 50.0]),
+            (0.0, []),
+            (0.0, [100.0, 2500.0]),
+            (0.0, [1e-310, 100.0]),
+            (0.0, [math.nan]),
+            (math.inf, [100.0]),
+        )
+        for _ in range(2):
+            for theta_a, horizons in refused_curves:
+                with pytest.raises(DomainError):
+                    residual_curve(canonical_pair, theta_a, 0.0, horizons)
         assert sums == []
         assert corr._memo_moment.cache_info().currsize == 0
 
@@ -566,3 +583,48 @@ class TestMomentMemo:
         assert len(got) == 6 * 30
         assert all(hex_pair(*a) == hex_pair(*b) for a, b in got)
         assert corr._memo_moment.cache_info().currsize == len(times)
+
+    def test_an_empty_settings_list_sums_nothing_and_makes_no_entry(self, canonical_pair, sums):
+        assert corr.correlations(canonical_pair, [], 1500.0) == ()
+        assert sums == []
+        assert corr._memo_moment.cache_info().currsize == 0
+        for t in (0.0, math.nan, 2001.0):  # t is still checked
+            with pytest.raises(DomainError):
+                corr.correlations(canonical_pair, [], t)
+
+    def test_the_chsh_settings_residual_curves_sum_once(self, canonical_pair, sums):
+        ladder = [10.0, 100.0, 1000.0, 2000.0]
+        integrals = sequence._window_integrals(corr._doubled(canonical_pair.difference), (0.0,), ladder)[:, 0]
+        for ta, tb in ((0.0, 7.0 * math.pi / 4.0), (0.0, math.pi / 4.0), (math.pi / 2.0, 7.0 * math.pi / 4.0)):
+            rotation = cmath.exp(1j * (ta - tb))
+            want = [(h, (rotation * complex(i_h)).real / h) for h, i_h in zip(ladder, integrals)]
+            assert [hex_pair(*row) for row in residual_curve(canonical_pair, ta, tb, ladder)] == [
+                hex_pair(*row) for row in want
+            ]
+        residual_curve(canonical_pair, math.pi / 2.0, math.pi / 4.0, ladder)
+        assert sums == [tuple(ladder)]
+        assert corr._memo_moment.cache_info()[:2] == (3, 1)  # (hits, misses)
+
+    def test_each_ladder_and_window_size_makes_its_own_entry(self, monkeypatch, canonical_pair, sums):
+        default = residual_curve(canonical_pair, 0.1, 0.2, [100.0, 1000.0])
+        residual_curve(canonical_pair, 0.1, 0.2, [100.0, 1500.0])  # another last horizon
+        residual_curve(canonical_pair, 0.1, 0.2, [200.0, 1000.0])  # another first horizon
+        residual_curve(canonical_pair, 0.1, 0.2, [1000.0])  # a shorter ladder
+        correlation(canonical_pair, 0.1, 0.2, 1000.0)  # the ends (1000.0,) again
+        assert sums == [(100.0, 1000.0), (100.0, 1500.0), (200.0, 1000.0), (1000.0,)]
+        monkeypatch.setattr(sequence, "_WINDOW_EVENTS", 7)
+        small = residual_curve(canonical_pair, 0.1, 0.2, [100.0, 1000.0])  # another window size
+        assert sums[4:] == [(100.0, 1000.0)]
+        assert corr._memo_moment.cache_info().currsize == 5
+        assert [r for _, r in small] == pytest.approx([r for _, r in default], abs=1e-12)
+
+    def test_the_cached_integrals_are_read_only(self, canonical_pair, sums):
+        cold = residual_curve(canonical_pair, 0.1, 0.2, [100.0, 1500.0])
+        integrals, _ = corr._memo_moment(canonical_pair, (100.0, 1500.0), sequence._WINDOW_EVENTS)
+        assert integrals.shape == (2,) and integrals.dtype == complex
+        with pytest.raises(ValueError, match="read-only"):
+            integrals[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            integrals *= 2.0
+        assert residual_curve(canonical_pair, 0.1, 0.2, [100.0, 1500.0]) == cold
+        assert len(sums) == 1

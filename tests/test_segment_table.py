@@ -275,14 +275,17 @@ def _assert_every_task_taken_once(run, lams, workers):
 
 
 def _sums(pair, seq, t, horizons, theta_a=0.3, theta_b=1.1):
-    """{name: (lams, call)} for the lam = 0 reductions the scheduler runs."""
-    return {
-        "bohr_mean": ((0.0,), lambda: [bohr_mean(seq, t)]),
-        "residual_curve": (
-            (0.0,),
-            lambda: [r for _, r in residual_curve(pair, theta_a, theta_b, horizons)],
-        ),
-    }
+    """{name: (lams, call)} for the lam = 0 reductions the scheduler runs.
+
+    The residual curve's call clears the pair memo first, so every call runs
+    the windowed pass.
+    """
+
+    def curve():
+        corr._memo_moment.cache_clear()
+        return [r for _, r in residual_curve(pair, theta_a, theta_b, horizons)]
+
+    return {"bohr_mean": ((0.0,), lambda: [bohr_mean(seq, t)]), "residual_curve": ((0.0,), curve)}
 
 
 def _spectrum(seq, lams, t):
