@@ -17,7 +17,6 @@ from windingphase import (
     PhaseSequence,
     SurfaceSpec,
     WindingChain,
-    bohr_mean,
     chsh,
     correlation,
     relative_phase,
@@ -81,16 +80,14 @@ print(f"  S = {result.s:.6f}   (classical bound 2; the residuals cancel, so S = 
 # Why they cancel, horizon by horizon: each residual is Re(e^{i(theta_a -
 # theta_b)} M2(t)), at most |M2(t)|.  M2 does not depend on the angles, so the
 # four settings' curves over the ladder above are read from one memoised pass.
-# |M2(t)| is the Bohr mean of e^{2i gamma}: gamma doubled is the phase of the
-# chain 2 * (chain_b - chain_a).
+# The (a1,b1) and (a1,b2) rotations are pi/2 apart, so |M2(t)| = hypot(r11, r12).
 ladder = [10.0, 100.0, 1000.0, 10000.0]
 settings = [(a1, b1), (a1, b2), (a2, b1), (a2, b2)]
 curves = [residual_curve(pair, ta, tb, ladder) for ta, tb in settings]
-doubled = PhaseSequence(surface, WindingChain(surface, (-2, 2)), assign, horizon=10000.0)
 print("\nCHSH residuals (a1,b1) (a1,b2) (a2,b1) (a2,b2), |M2|, and their CHSH-signed sum:")
 for k, t in enumerate(ladder):
     r11, r12, r21, r22 = (curve[k][1] for curve in curves)
-    m2 = abs(bohr_mean(doubled, t))
+    m2 = math.hypot(r11, r12)
     largest = max(abs(r11), abs(r12), abs(r21), abs(r22))
     print(
         f"  t = {t:7.0f}: {r11:+.2e} {r12:+.2e} {r21:+.2e} {r22:+.2e}"

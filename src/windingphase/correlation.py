@@ -19,8 +19,10 @@ integrals of e^{2 i gamma} over [0, end] for each of the ascending ends, one
 complex per end from one ``sequence._window_integrals`` pass, and the segment
 count at the last end.  ``correlation``, ``correlations`` and ``chsh`` ask for
 the ends (t,), ``residual_curve`` for its horizons, so the residual curves of
-any detector settings over one horizon ladder share an entry.  The angles
-never enter the memo; a hit builds no sequence and counts no event.
+any detector settings over one horizon ladder share an entry.  A ladder of
+more than ``_MEMO_ENDS`` horizons is summed by the same pass but not kept,
+so the memo never holds more than 256 * _MEMO_ENDS ends.  The angles never
+enter the memo; a hit builds no sequence and counts no event.
 """
 
 from __future__ import annotations
@@ -110,6 +112,9 @@ def _doubled(seq: PhaseSequence) -> PhaseSequence:
     return replace(seq, chain=seq.chain + seq.chain)
 
 
+_MEMO_ENDS = 64  # the longest horizon ladder whose integrals the memo keeps
+
+
 @functools.lru_cache(maxsize=256)
 def _memo_moment(pair: PairConfig, ends: Tuple[float, ...], window_events: int) -> Tuple[np.ndarray, int]:
     """(read-only integral of e^{2 i gamma} over [0, end] per end, segment count at ends[-1]).
@@ -168,7 +173,8 @@ def residual_curve(
     ``horizons`` must be sorted ascending, positive, and within the pair's
     horizon.  Returns (t, residual) tuples.  The integrals come from the memo
     keyed on (pair, horizons, window size), which the angles never enter, so
-    the curves of every detector setting over one ladder share one pass.
+    the curves of every detector setting over one ladder share one pass; a
+    ladder of more than ``_MEMO_ENDS`` horizons is summed afresh each call.
     """
     theta_a, theta_b = _check_angles(theta_a, theta_b)
     hs = [_check_time(pair.sequence_a, h, "every horizon t") for h in _reals("horizons", horizons).tolist()]
@@ -177,7 +183,8 @@ def residual_curve(
     if any(b < a for a, b in zip(hs, hs[1:])):
         raise DomainError("horizons must be sorted ascending")
     rotation = cmath.exp(1j * (theta_a - theta_b))
-    integrals, _ = _memo_moment(pair, tuple(hs), sequence._WINDOW_EVENTS)
+    moment = _memo_moment if len(hs) <= _MEMO_ENDS else _memo_moment.__wrapped__
+    integrals, _ = moment(pair, tuple(hs), sequence._WINDOW_EVENTS)
     return [(h, (rotation * complex(i_h)).real / h) for h, i_h in zip(hs, integrals)]
 
 

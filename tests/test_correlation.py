@@ -628,3 +628,17 @@ class TestMomentMemo:
             integrals *= 2.0
         assert residual_curve(canonical_pair, 0.1, 0.2, [100.0, 1500.0]) == cold
         assert len(sums) == 1
+
+    def test_only_ladders_up_to_the_memo_bound_are_kept(self, canonical_pair, sums):
+        longest = np.linspace(10.0, 2000.0, corr._MEMO_ENDS).tolist()
+        past = np.linspace(10.0, 2000.0, corr._MEMO_ENDS + 1).tolist()
+        integrals = sequence._window_integrals(corr._doubled(canonical_pair.difference), (0.0,), past)[:, 0]
+        want = [hex_pair(h, (cmath.exp(1j * (0.4 - 0.1)) * complex(i_h)).real / h) for h, i_h in zip(past, integrals)]
+        for _ in range(2):
+            assert [hex_pair(*row) for row in residual_curve(canonical_pair, 0.4, 0.1, past)] == want
+        assert sums == [tuple(past), tuple(past)]
+        assert corr._memo_moment.cache_info().currsize == 0
+        residual_curve(canonical_pair, 0.4, 0.1, longest)
+        residual_curve(canonical_pair, 0.1, 0.4, longest)
+        assert sums[2:] == [tuple(longest)]
+        assert corr._memo_moment.cache_info().currsize == 1
