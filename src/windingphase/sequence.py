@@ -552,31 +552,40 @@ def _factor_chunks(seq: PhaseSequence):
     cuts = _window_cuts(seq._active_arrays()[1], 0.0, seq.horizon).tolist()
     times = np.zeros(1)
     for j in range(1, len(cuts)):
-        times = np.concatenate((times, np.unique(event_arrays(seq, cuts[j - 1], cuts[j])[0])))
+        window = event_arrays(seq, cuts[j - 1], cuts[j])[0]
+        # event_arrays sorts its times: a time not above its predecessor repeats it
+        times = np.concatenate((times, window[np.diff(window, prepend=-np.inf) > 0.0]))
         while times.size >= 2 * _WINDOW_EVENTS or (j + 1 == len(cuts) and times.size):
             chunk, times = np.split(times, [_chunk_end(0, times.size)])
             yield chunk, _unit_phasors(phase_at_many(seq, chunk), np.empty(chunk.size, dtype=complex))
 
 
-def _block_discrepancy(cuts, shift, times, factors, sliver):
+def _block_discrepancy(cuts, shift, factors, sliver, bases, lead):
     """Largest |e^{i Phi(tau + shift)} - e^{i Phi(tau)}| over one block's segments wider than ``sliver``.
 
-    ``cuts`` holds the block's two edges and every base and shifted event
-    time between them, unsorted and possibly repeated.  It is sorted in
-    place; a repeated cut makes a zero-width neighbour pair, which the
-    sliver rule (see find_almost_periods) drops just as deduplicating would.
-    ``factors[k]`` is e^{i Phi} from ``times[k - 1]`` (from the block's
-    start for k = 0) to ``times[k]``, and ``times`` runs past every probe or
-    to the horizon.  A block of slivers only gives 0.0, which leaves a
-    running maximum of discrepancies (never negative) as it was.
+    ``cuts`` is two sorted runs: the block's ``bases`` base cuts (its
+    start, the held event times after it up to its end and, in the last
+    block, the window end), then the shifted event times kept for it, either
+    run possibly repeating a value of the other.  ``factors[k]`` is e^{i Phi} from held row k (row 0
+    at the block's start) to row k + 1, and the first ``lead`` rows after
+    row 0 are those whose shifted times lie at or before the block's start.
+    A repeated cut makes a zero-width neighbour pair, which the sliver rule
+    (see find_almost_periods) drops.  That rule puts both probes of a wider
+    segment strictly inside the segments they stand for, so each lookup is
+    a rank and needs no search: tau lies past the base cuts at or before
+    the segment's left end, the block's start excepted, and tau + shift
+    past ``lead`` rows and the shifted cuts at or before that end.  One
+    stable merge of the two runs gives both counts.  ``shift`` names the
+    call's shift and is not read.  A block of slivers only gives 0.0, which
+    leaves a running maximum of discrepancies (never negative) as it was.
     """
-    cuts.sort()
-    left, right = cuts[:-1], cuts[1:]
-    wide = (right - left) > sliver
-    mids = 0.5 * (left[wide] + right[wide])
-    here = factors[np.searchsorted(times, mids, side="right")]
-    there = factors[np.searchsorted(times, mids + shift, side="right")]
-    return float(np.max(np.abs(there - here), initial=0.0))
+    order = np.argsort(cuts, kind="stable")  # timsort: one linear merge of the two runs
+    # the merged positions of the wide segments' left ends
+    wide = np.flatnonzero(np.diff(cuts[order]) > sliver)
+    # of the wide + 1 cuts at or before a left end, here + 1 are base cuts, wide - here shifted
+    here = np.cumsum(order < bases)[wide] - 1
+    there = lead + wide - here
+    return float(np.max(np.abs(factors[there] - factors[here]), initial=0.0))
 
 
 def find_almost_periods(
@@ -613,14 +622,18 @@ def find_almost_periods(
     thus its whole-window supremum bit for bit; the shift is scanned while
     that stays within ``epsilon`` and reported if it ends there.  A block
     (x0, x1] takes the shifted event times d = t - shift with x0 < d <= x1
-    from one search for [x0 + shift - 4u, x1 + shift + 4u) and that exact
-    test on the computed d: it keeps exactly the right rows, since the
+    from one search for [x0 + shift - 4u, x1 + shift + 4u) and a search of
+    the computed d for x0 and x1: it keeps exactly the right rows, since the
     computed t - shift never decreases as t grows, and the bracket holds
     every such t, since each rounding is within u / 2.  A d equal to the
     window end repeats an edge, a zero-width neighbour the sliver rule drops.
 
-    Phases are looked up in the table of [0.0] + the distinct event times
-    and their factors e^{i Phi}, streamed from _factor_chunks on this
+    Phases are read from the table of [0.0] + the distinct event times and
+    their factors e^{i Phi} by rank, not by a search per probe: a probe
+    strictly inside its segment lies past exactly the rows whose base or
+    shifted cuts lie at or before the segment's left end, and the block's
+    one merge of its base and shifted cuts counts them (see
+    _block_discrepancy).  The table is streamed from _factor_chunks on this
     thread, so event_arrays and phase_at_many run there: each block pulls
     chunks until it holds its rows up to its end plus the largest shift
     still scanned and drops the rows before its end once scanned, so memory
@@ -660,8 +673,9 @@ def find_almost_periods(
         x0, x1 = base_cuts[0], base_cuts[-1]
         a, b = np.searchsorted(times, (x0 + shift - sliver, x1 + shift + sliver))
         shifted = times[a:b] - shift
-        shifted = shifted[(x0 < shifted) & (shifted <= x1)]
-        worst = _block_discrepancy(np.concatenate((base_cuts, shifted)), shift, times, factors, sliver)
+        lo, hi = np.searchsorted(shifted, (x0, x1), side="right")
+        cuts = np.concatenate((base_cuts, shifted[lo:hi]))
+        worst = _block_discrepancy(cuts, shift, factors, sliver, base_cuts.size, a + lo)
         worsts[i] = max(worsts[i], worst)
 
     # the shifts still within epsilon, and the held rows from the block's start on

@@ -8,6 +8,9 @@ the package computes another way:
 - ``almost_periods_whole_window`` looks phases up in one event table like
   the package does, but merges and probes each shift's whole window at once
   instead of block by block with an early exit;
+- ``block_discrepancy_by_search`` sorts one scan block's cuts and finds
+  both probes' table rows with ``np.searchsorted``, instead of reading them
+  as ranks from the merge of the block's base and shifted cuts;
 - ``bohr_mean_whole`` and ``fourier_coefficient_scalar`` sum one table over
   all of [0, t] with a running phase that grows with t (the spectrum oracle
   rebuilds that table for each lambda);
@@ -138,6 +141,25 @@ def almost_periods_whole_window(seq, epsilon, search_bound, sample_step):
         sample_step=sample_step,
         scanned=int(candidates.size),
     )
+
+
+def block_discrepancy_by_search(cuts, shift, times, factors, sliver):
+    """One scan block's largest |e^{i Phi(tau + shift)} - e^{i Phi(tau)}| over segments wider than ``sliver``.
+
+    ``cuts`` holds the block's two edges and every base and shifted event
+    time between them, unsorted and possibly repeated; it is sorted in
+    place.  ``factors[k]`` is e^{i Phi} from ``times[k - 1]`` (from the
+    block's start for k = 0) to ``times[k]``, and ``times`` runs past every
+    probe or to the horizon.  Each segment's midpoint and its shifted twin
+    are searched for in ``times``.
+    """
+    cuts.sort()
+    left, right = cuts[:-1], cuts[1:]
+    wide = (right - left) > sliver
+    mids = 0.5 * (left[wide] + right[wide])
+    here = factors[np.searchsorted(times, mids, side="right")]
+    there = factors[np.searchsorted(times, mids + shift, side="right")]
+    return float(np.max(np.abs(there - here), initial=0.0))
 
 
 def bohr_mean_whole(seq, t):

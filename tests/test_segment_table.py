@@ -1,5 +1,6 @@
 """Properties of the windowed and one-table reductions against the slow routes in oracles.py."""
 
+import functools
 import importlib
 import itertools
 import math
@@ -18,6 +19,7 @@ from oracles import (
     _segments,
     almost_periods_per_shift,
     almost_periods_whole_window,
+    block_discrepancy_by_search,
     bohr_mean_whole,
     fourier_coefficient_scalar,
     merged_correlation,
@@ -202,6 +204,85 @@ def test_bracketed_scan_matches_whole_window_oracle_at_large_horizons(scan):
         lo, hi = np.searchsorted(times, (shift, shift + window_end), side="right")
         whole = np.unique(np.concatenate(([0.0], times, times[lo:hi] - shift, [window_end])))
         assert np.array_equal(np.unique(np.concatenate(blocks)), whole[whole <= blocks[-1][-1]])
+
+
+@st.composite
+def scan_blocks(draw):
+    """(cuts, shift, times, factors, sliver, bases, lead) of one almost-period scan block, horizon 1e2-1e8.
+
+    Event times are the multiples of two periods, the second sometimes an
+    exact multiple of the first, and about a third of them are nudged by up
+    to three ulps of the horizon, so shifted times repeat one another, tie
+    with base times, round onto them or land a sliver away.  The shift is a
+    multiple of a period, a difference of two event times or any float.  A
+    block may end at a window end on its last event time or before the next
+    one, and a block over a short gap often keeps no shifted time.  The
+    shifted times are kept, and the rows before them counted, as the scan
+    does it.
+    """
+    horizon = draw(st.floats(1e2, 1e8))
+    sliver = 4.0 * np.spacing(horizon)
+    first = horizon / draw(st.floats(30.0, 120.0))
+    multiple = draw(st.sampled_from([0, 2, 3]))  # 0: a period of its own
+    second = first * multiple if multiple else horizon / draw(st.floats(30.0, 120.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    events = np.concatenate([np.arange(1, int(horizon / T) + 1) * T for T in (first, second)])
+    nudged = rng.random(events.size) < 1.0 / 3.0
+    events[nudged] += rng.integers(-3, 4, np.count_nonzero(nudged)) * np.spacing(horizon)
+    rows = np.concatenate(([0.0], np.unique(events[(0.0 < events) & (events <= horizon)])))
+
+    kind = draw(st.sampled_from(["first", "second", "difference", "any"]))
+    if kind == "difference":
+        i = draw(st.integers(1, rows.size - 2))
+        shift = rows[draw(st.integers(i + 1, min(i + 40, rows.size - 1)))] - rows[i]
+    elif kind == "any":
+        shift = draw(st.floats(sliver, horizon / 2.0))
+    else:
+        period = first if kind == "first" else second
+        shift = draw(st.integers(1, max(1, int(horizon / 2.0 / period)))) * period
+    assume(shift <= horizon / 2.0)
+
+    # the block starts at row ``start`` and holds ``size`` more rows, all
+    # within horizon - shift as a scan window's are
+    last = int(np.searchsorted(rows, horizon - shift, side="right")) - 1
+    assume(last >= 1)
+    start = draw(st.integers(0, last - 1))
+    size = draw(st.integers(1, min(12, last - start)))
+    held = rows[start:]
+    base_cuts = held[: size + 1]
+    if draw(st.booleans()):  # a last block, ending at the window end
+        gap_end = held[size + 1] if size + 1 < held.size else horizon - shift
+        window_end = held[size] + draw(st.floats(0.0, 1.0)) * (min(gap_end, horizon - shift) - held[size])
+        base_cuts = np.append(base_cuts, window_end if window_end < gap_end else held[size])
+    x0, x1 = base_cuts[0], base_cuts[-1]
+    held = held[: np.searchsorted(held, x1 + shift + sliver, side="right") + 1]
+
+    times = held[1:]
+    a, b = np.searchsorted(times, (x0 + shift - sliver, x1 + shift + sliver))
+    shifted = times[a:b] - shift
+    lead = a + np.count_nonzero(shifted <= x0)
+    cuts = np.concatenate((base_cuts, shifted[(x0 < shifted) & (shifted <= x1)]))
+    factors = np.exp(1j * rng.uniform(0.0, TWO_PI, held.size))
+    return cuts, shift, times, factors, sliver, base_cuts.size, lead
+
+
+@PROPERTY
+@given(block=scan_blocks())
+def test_block_discrepancy_ranks_equal_the_search_oracle(block):
+    cuts, shift, times, factors, sliver, bases, lead = block
+
+    def both(table):
+        got = sequence._block_discrepancy(cuts, shift, table, sliver, bases, lead)
+        return got.hex(), block_discrepancy_by_search(cuts.copy(), shift, times, table, sliver).hex()
+
+    got, expected = both(factors)
+    assert got == expected
+    # With 1 at row k and 0 elsewhere, a block gives 1.0 exactly when one
+    # lookup of some segment, but not both, reads row k: both routes must
+    # read the same rows, not just reach the same largest difference.
+    for k in range(factors.size):
+        got, expected = both(np.eye(1, factors.size, k, dtype=complex)[0])
+        assert got == expected, k
 
 
 @PROPERTY
@@ -574,6 +655,33 @@ def test_capped_scan_blocks_end_at_base_event_times():
             # scanned to the window end in blocks of at most 64 base event times
             assert blocks[-1][-1] == window_end
             assert len(blocks) >= np.searchsorted(times, window_end, side="right") / 64
+
+
+def _one_cycle_scan():
+    """The canonical config's first sequence at horizon 3000, and a scan of 1200 shifts, a third of them passing.
+
+    Its one active cycle has period 1, so shift k passes when k * beta is
+    within 2 arcsin(0.45) of 0 mod 2 pi: each passing shift is scanned
+    through every block to the window end.
+    """
+    surface = SurfaceSpec(1)
+    assign = CycleAssignment(surface, (3.883222077450933, 4.59961087822572), (1.0, 1.4142135623730951))
+    return PhaseSequence(surface, WindingChain(surface, (1, 0)), assign, 3000.0), (0.9, 1200.0, 1.0)
+
+
+@functools.lru_cache(maxsize=1)
+def _one_cycle_oracle():
+    seq, scan = _one_cycle_scan()
+    return almost_periods_whole_window(seq, *scan)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_scan_of_hundreds_of_passing_shifts_matches_the_whole_window_oracle(workers):
+    seq, scan = _one_cycle_scan()
+    with mock.patch.object(sequence, "_usable_cpus", lambda: workers):
+        report = find_almost_periods(seq, *scan)
+    assert len(report.candidates) >= 300
+    assert report == _one_cycle_oracle()
 
 
 @pytest.mark.parametrize("search_bound", [10.0, 200.0])
