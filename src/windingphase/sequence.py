@@ -565,25 +565,30 @@ def _block_discrepancy(cuts, shift, factors, sliver, bases, lead):
 
     ``cuts`` is two sorted runs: the block's ``bases`` base cuts (its
     start, the held event times after it up to its end and, in the last
-    block, the window end), then the shifted event times kept for it, either
-    run possibly repeating a value of the other.  ``factors[k]`` is e^{i Phi} from held row k (row 0
-    at the block's start) to row k + 1, and the first ``lead`` rows after
-    row 0 are those whose shifted times lie at or before the block's start.
-    A repeated cut makes a zero-width neighbour pair, which the sliver rule
-    (see find_almost_periods) drops.  That rule puts both probes of a wider
-    segment strictly inside the segments they stand for, so each lookup is
-    a rank and needs no search: tau lies past the base cuts at or before
-    the segment's left end, the block's start excepted, and tau + shift
-    past ``lead`` rows and the shifted cuts at or before that end.  One
-    stable merge of the two runs gives both counts.  ``shift`` names the
-    call's shift and is not read.  A block of slivers only gives 0.0, which
-    leaves a running maximum of discrepancies (never negative) as it was.
+    block, the window end), then the shifted event times kept for it,
+    either run possibly repeating a value of the other.  ``factors[k]`` is
+    e^{i Phi} from held row k (row 0 at the block's start) to row k + 1,
+    and the first ``lead`` rows after row 0 are those whose shifted times
+    lie at or before the block's start.  A repeated cut makes a zero-width
+    neighbour pair, which the sliver rule (see find_almost_periods) drops.
+    That rule puts both probes of a wider segment strictly inside the
+    segments they stand for, so each lookup is a rank and needs no search:
+    tau lies past the base cuts at or before the segment's left end, the
+    block's start excepted, and tau + shift past ``lead`` rows and the
+    shifted cuts at or before that end.  One stable merge of the two runs
+    gives both counts.  ``shift`` names the call's shift and is not read.
+    A block of slivers only gives 0.0, which leaves a running maximum of
+    discrepancies (never negative) as it was.
     """
     order = np.argsort(cuts, kind="stable")  # timsort: one linear merge of the two runs
     # the merged positions of the wide segments' left ends
     wide = np.flatnonzero(np.diff(cuts[order]) > sliver)
-    # of the wide + 1 cuts at or before a left end, here + 1 are base cuts, wide - here shifted
-    here = np.cumsum(order < bases)[wide] - 1
+    # A stable merge keeps each run in order, so at a left end that is base
+    # cut k, k + 1 base cuts lie at or before it, and at one that is shifted
+    # cut k, k - bases + 1 shifted ones; here + 1 and wide - here are those
+    # counts of the wide + 1 cuts there.
+    ends = order[wide]
+    here = np.where(ends < bases, ends, wide + bases - 1 - ends)
     there = lead + wide - here
     return float(np.max(np.abs(factors[there] - factors[here]), initial=0.0))
 

@@ -247,7 +247,7 @@ def scan_blocks(draw):
     last = int(np.searchsorted(rows, horizon - shift, side="right")) - 1
     assume(last >= 1)
     start = draw(st.integers(0, last - 1))
-    size = draw(st.integers(1, min(12, last - start)))
+    size = draw(st.integers(1, min(40, last - start)))
     held = rows[start:]
     base_cuts = held[: size + 1]
     if draw(st.booleans()):  # a last block, ending at the window end
