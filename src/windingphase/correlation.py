@@ -130,15 +130,18 @@ def _memo_moment(pair: PairConfig, ends: Tuple[float, ...], window_events: int) 
 
 def _check_angles(theta_a, theta_b) -> Tuple[float, float]:
     """(theta_a, theta_b) as floats whose sum and difference are finite."""
-    theta_a, theta_b = _real("angles", theta_a), _real("angles", theta_b)
+    return _finite_sum_and_difference(_real("angles", theta_a), _real("angles", theta_b))
+
+
+def _finite_sum_and_difference(theta_a: float, theta_b: float) -> Tuple[float, float]:
+    """The float angles (theta_a, theta_b), refused unless their sum and difference are finite."""
     if not (math.isfinite(theta_a + theta_b) and math.isfinite(theta_a - theta_b)):
         raise DomainError(f"angles {theta_a!r} and {theta_b!r} must have a finite sum and difference")
     return theta_a, theta_b
 
 
-def correlations(pair: PairConfig, settings, t: float) -> Tuple[CorrelationEstimate, ...]:
-    """One correlation per (theta_a, theta_b) in ``settings``, all from one M2(t)."""
-    settings = [_check_angles(ta, tb) for ta, tb in _reals("settings", settings, width=2).tolist()]
+def _estimates(pair: PairConfig, settings: List[Tuple[float, float]], t: float) -> Tuple[CorrelationEstimate, ...]:
+    """One correlation per checked (theta_a, theta_b) in ``settings``, all from one M2(t)."""
     t = _check_time(pair.sequence_a, t)
     if not settings:
         return ()
@@ -149,6 +152,12 @@ def correlations(pair: PairConfig, settings, t: float) -> Tuple[CorrelationEstim
         residual = (cmath.exp(1j * (ta - tb)) * m2).real
         out.append(CorrelationEstimate(ta, tb, t, math.cos(ta + tb) + residual, residual, segments))
     return tuple(out)
+
+
+def correlations(pair: PairConfig, settings, t: float) -> Tuple[CorrelationEstimate, ...]:
+    """One correlation per (theta_a, theta_b) in ``settings``, all from one M2(t)."""
+    rows = _reals("settings", settings, width=2).tolist()
+    return _estimates(pair, [_finite_sum_and_difference(ta, tb) for ta, tb in rows], t)
 
 
 def correlation(
@@ -162,7 +171,7 @@ def correlation(
     M2 is summed exactly over the constant segments of the difference
     sequence, so there is no time step.
     """
-    return correlations(pair, [(theta_a, theta_b)], t)[0]
+    return _estimates(pair, [_check_angles(theta_a, theta_b)], t)[0]
 
 
 def residual_curve(
@@ -212,12 +221,14 @@ def chsh(
     pair: PairConfig, a1: float, a2: float, b1: float, b2: float, t: float
 ) -> ChshResult:
     """Run the four-setting CHSH combination at one horizon, from one M2."""
-    e11, e12, e21, e22 = correlations(pair, [(a1, b1), (a1, b2), (a2, b1), (a2, b2)], t)
+    a1, a2, b1, b2 = [_real("angles", x) for x in (a1, a2, b1, b2)]
+    settings = [_finite_sum_and_difference(x, y) for x, y in ((a1, b1), (a1, b2), (a2, b1), (a2, b2))]
+    e11, e12, e21, e22 = _estimates(pair, settings, t)
     return ChshResult(
-        a1=float(a1),
-        a2=float(a2),
-        b1=float(b1),
-        b2=float(b2),
+        a1=a1,
+        a2=a2,
+        b1=b1,
+        b2=b2,
         estimates=(e11, e12, e21, e22),
         s=e11.value + e12.value + e21.value - e22.value,
     )

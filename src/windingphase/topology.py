@@ -43,8 +43,8 @@ def wrap_angle(angle: float) -> float:
 
 
 def _integer(name: str, value, minimum: Optional[int] = None, maximum: Optional[int] = None) -> int:
-    """``value`` as an int: an exact integer (not a bool) in [``minimum``, ``maximum``]."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """``value`` as an int: an exact integer (not a bool or a numpy timedelta) in [``minimum``, ``maximum``]."""
+    if isinstance(value, (bool, np.timedelta64)) or not isinstance(value, (int, np.integer)):
         raise DomainError(f"{name} must be an integer, got {_shown(value)}")
     if minimum is not None and value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {_shown(value)}")
@@ -53,10 +53,27 @@ def _integer(name: str, value, minimum: Optional[int] = None, maximum: Optional[
     return int(value)
 
 
+_NOT_NUMBER_KINDS = "bcmMSU"  # numpy booleans, complex, timedeltas, datetimes and strings
+
+
+def _not_a_number(value) -> bool:
+    """Whether ``value`` (a 0-d array's element) is a bool, str or bytes, or a numpy value of a _NOT_NUMBER_KINDS kind.
+
+    A float conversion would take True as 1.0, parse "2.5", drop an imaginary
+    part with only a warning, and read a timedelta or datetime as its count of
+    units.
+    """
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    return isinstance(value, (str, bytes, bool)) or (
+        isinstance(value, np.generic) and value.dtype.kind in _NOT_NUMBER_KINDS
+    )
+
+
 def _real(name: str, value, positive: bool = False) -> float:
     """``value`` as a finite float, and > 0 when ``positive``."""
     try:
-        if isinstance(value, (str, bytes, bool, np.bool_)):  # float() would parse "2.5" and take True as 1.0
+        if type(value) is not float and _not_a_number(value):  # a plain float is a number
             raise TypeError
         x = float(value)
     except (TypeError, ValueError):
@@ -72,12 +89,9 @@ def _reals(name: str, values, width: int = 0) -> np.ndarray:
     """``values``, a real scalar or 1-d sequence, as a 1-d array of finite floats; with ``width``, rows of that many."""
     try:
         x = np.asarray(values)
-        # a float conversion would take booleans, drop imaginary parts and parse numeric strings;
         # numpy reads [True, 0.5] as floats, so a sequence's elements are checked as objects
         items = x if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-        if x.dtype.kind in "bcUS" or (
-            items.dtype.kind == "O" and any(isinstance(v, (bool, np.bool_, str, bytes)) for v in items.flat)
-        ):
+        if x.dtype.kind in _NOT_NUMBER_KINDS or (items.dtype.kind == "O" and any(map(_not_a_number, items.flat))):
             raise TypeError
         x = np.atleast_1d(np.asarray(x, dtype=float))
     except (TypeError, ValueError, OverflowError):  # a ragged sequence raises ValueError

@@ -3,6 +3,7 @@ import importlib
 import math
 import sys
 import threading
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from test_cli_outputs import HOSTILE
+from test_sequence import NON_NUMBERS, sampled
 from windingphase import (
     CycleAssignment,
     DimensionError,
@@ -20,6 +23,7 @@ from windingphase import (
     WindingChain,
     chsh,
     correlation,
+    correlations,
     phase_at,
     phase_at_many,
     relative_phase,
@@ -429,6 +433,44 @@ def test_a_signed_zero_twin_reads_an_entry_with_the_bits_of_its_own_sum(twins, d
     assert corr._memo_moment.cache_info()[:2] == (1, 1)  # (hits, misses)
     want = expected_estimate(twin, 0.3, -1.1, t, fresh_moment(twin, t))
     assert hex_pair(est.value, est.residual) == hex_pair(*want)
+
+
+def outcome(call):
+    """The fields of each estimate ``call`` returns, floats by float.hex, or the class of what it raises."""
+    try:
+        return [tuple(v.hex() if isinstance(v, float) else v for v in astuple(est)) for est in call()]
+    except Exception as error:
+        return type(error)
+
+
+# signed zeros, subnormals, the largest angles whose sum and difference are
+# finite, random reals, and the hostile pool of values that are not numbers
+ANGLES = (
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1050, math.ldexp(1.0, 1022), -math.ldexp(1.0, 1022)])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(-10.0, 10.0)
+    | sampled(HOSTILE + NON_NUMBERS)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scalar_entry_points_equal_correlations_on_their_settings(canonical_pair, data):
+    t = data.draw(st.floats(0.5, canonical_pair.horizon) | sampled(HOSTILE + NON_NUMBERS))
+    ta, tb = data.draw(ANGLES), data.draw(ANGLES)
+    want = outcome(lambda: correlations(canonical_pair, [(ta, tb)], t))
+    assert outcome(lambda: [correlation(canonical_pair, ta, tb, t)]) == want
+    a1, a2, b1, b2 = (data.draw(ANGLES) for _ in range(4))
+    settings = [(a1, b1), (a1, b2), (a2, b1), (a2, b2)]
+    want = outcome(lambda: correlations(canonical_pair, settings, t))
+    assert outcome(lambda: chsh(canonical_pair, a1, a2, b1, b2, t).estimates) == want
+    if not isinstance(want, type):
+        e11, e12, e21, e22 = correlations(canonical_pair, settings, t)
+        result = chsh(canonical_pair, a1, a2, b1, b2, t)
+        assert result.s.hex() == (e11.value + e12.value + e21.value - e22.value).hex()
+        assert [x.hex() for x in (result.a1, result.a2, result.b1, result.b2)] == [
+            x.hex() for x in (e11.theta_a, e21.theta_a, e11.theta_b, e12.theta_b)
+        ]
 
 
 class TestMomentMemo:

@@ -331,7 +331,17 @@ LIBRARY_CALLS = {
     "residual_curve": lambda theta_a, theta_b, horizons: residual_curve(_PAIR, theta_a, theta_b, horizons),
     "chsh": lambda a1, a2, b1, b2, t: chsh(_PAIR, a1, a2, b1, b2, t),
 }
-_SCALARS = st.sampled_from(HOSTILE + (2**62, 0.5, 2.0, 100.0))
+# numpy values that a float conversion would read as numbers: a complex (its
+# imaginary part dropped), a 0-d boolean array, a datetime and a timedelta
+NON_NUMBERS = (np.complex128(100 + 5j), np.array(True), np.datetime64(1, "s"), np.timedelta64(3))
+
+
+def sampled(values):
+    """A draw from ``values``, by index: hypothesis hashes what it samples, and an array or np.timedelta64(3) has no hash."""
+    return st.sampled_from(range(len(values))).map(values.__getitem__)
+
+
+_SCALARS = sampled(HOSTILE + NON_NUMBERS + (2**62, 0.5, 2.0, 100.0))
 _SHAPES = st.sampled_from([(0.1,), [1.0]]) | st.tuples(_SCALARS, _SCALARS, _SCALARS) | st.tuples(_SCALARS, _SCALARS)
 _ARGUMENTS = (
     _SCALARS
@@ -365,6 +375,25 @@ def test_hostile_library_arguments_give_a_result_or_a_short_refusal(name, data):
 def test_none_is_refused_by_name(call):
     with pytest.raises(DomainError, match="got None$"):
         call()
+
+
+@pytest.mark.parametrize("value", NON_NUMBERS, ids=["complex", "bool_array", "datetime", "timedelta"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: phase_at(_SEQ, x),
+        lambda x: bohr_mean(_SEQ, x),
+        lambda x: correlation(_PAIR, 0.0, 0.0, x),
+        lambda x: correlation(_PAIR, x, 0.0, 100.0),
+        lambda x: chsh(_PAIR, 0.0, 0.0, x, 0.0, 100.0),
+        lambda x: residual_curve(_PAIR, 0.0, 0.0, [x]),
+        lambda x: phase_at_many(_SEQ, [0.5, x]),
+    ],
+    ids=["phase_at", "bohr_mean", "correlation_t", "correlation_angle", "chsh_angle", "residual_curve", "phase_at_many"],
+)
+def test_numpy_values_that_are_not_real_numbers_are_refused(call, value):
+    with pytest.raises(DomainError):
+        call(value)
 
 
 class TestPhaseAt:

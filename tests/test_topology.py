@@ -86,6 +86,8 @@ class TestWindingChain:
             WindingChain(s, (1.0, 2))
         with pytest.raises(DomainError):
             WindingChain(s, (True, 0))
+        with pytest.raises(DomainError):  # numpy makes timedelta64 an integer type
+            WindingChain(s, (np.timedelta64(3), 0))
         with pytest.raises(DomainError, match="must be a sequence of integers"):
             WindingChain(s, 1j)  # not iterable
         # numpy integers are fine and normalize to python ints
